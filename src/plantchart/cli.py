@@ -207,6 +207,13 @@ def _resolve_dims(spec: str) -> ChartDimensions:
         raise CliError(f"invalid dims {spec!r}: {exc}") from None
 
 
+def _service(profile: DeviceProfile, args) -> serve.ForecastService:
+    try:
+        return serve.ForecastService(profile, EncodingMode(args.mode), tick=args.tick)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
 def _pick_variation(variations: list[Variation], index: int) -> Variation:
     if not variations:
         raise CliError("the series is flat: it contains no variation", EXIT_ENCODING)
@@ -316,7 +323,7 @@ def cmd_plan(args) -> int:
 def cmd_simulate(args) -> int:
     series = _resolve_series(args)
     profile = _resolve_profile(args.profile)
-    service = serve.ForecastService(profile, EncodingMode(args.mode), tick=args.tick)
+    service = _service(profile, args)
     if args.all_variations:
         service.display_series(series)
     else:
@@ -378,7 +385,7 @@ def cmd_render(args) -> int:
 
 def cmd_serve(args) -> int:
     profile = _resolve_profile(args.profile)
-    service = serve.ForecastService(profile, EncodingMode(args.mode), tick=args.tick)
+    service = _service(profile, args)
     if args.listen is not None:
         feed = serve.FileFeed(args.listen)
     else:

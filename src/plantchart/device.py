@@ -11,7 +11,10 @@ position exactly.
 The simulator is a single state machine advanced by explicit ticks.  Every
 operation returns a fresh :class:`ControllerState`; one advancing context
 owns the latest state while readers are free to inspect older snapshots and
-the append-only event log.
+the append-only event log.  :func:`tick` advances one tick; :func:`run_plan`
+runs all the ticks of a plan internally, on plain per-leaf values, and
+returns one snapshot.  Both share one advance loop, so a plan stepped with
+:func:`tick` ends in the same state and log bytes as :func:`run_plan`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ LED_BOARD = 5
 EVENT_STOP = 0x00
 
 DEFAULT_TICK = 0.01
+#: Most ticks one :func:`run_plan` may take.  A full ten-leaf plan needs
+#: about 2,000 at the default tick; a plan past this bound (a near-zero
+#: step rate, a tiny tick) is refused before it starts.
+MAX_TICKS = 10**7
 _EPS = 1e-9
 
 
@@ -168,123 +175,18 @@ def submit_plan(ctrl: ControllerState, plan: MotionPlan) -> ControllerState:
     return replace(ctrl, boards=boards, relay_on=relay_on, pending=pending, event_log=events)
 
 
+def check_dt(dt: float) -> float:
+    """Return ``dt`` if it is a finite number of seconds above zero."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"tick must be a finite number of seconds > 0, got {dt}")
+    return dt
+
+
 def tick(ctrl: ControllerState, dt: float) -> ControllerState:
     """Advance the simulation by ``dt`` seconds: dispatch due commands, move
     powered channels toward their targets, emit sensor events, and gate the
     relay off once everything is idle."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    boards = list(ctrl.boards)
-    events: list[LogEvent] = []
-    relay_on = ctrl.relay_on
-    new_clock = ctrl.clock + dt
-
-    # Commands beginning inside this tick window dispatch now; the portion
-    # of the tick before their start time is withheld from their motion
-    # budget (a negative carry), so completion stays within one tick of the
-    # planned schedule.
-    due = [p for p in ctrl.pending if p.dispatch_time < new_clock - _EPS]
-    pending = tuple(p for p in ctrl.pending if p.dispatch_time >= new_clock - _EPS)
-    if due and not relay_on:
-        relay_on = True
-        boards = list(_set_motor_power(tuple(boards), True))
-        events.append(LogEvent(due[0].dispatch_time, None, "relay", (("on", True),)))
-    for item in due:
-        cmd = item.command
-        board_id, channel_id = divmod(cmd.leaf, 2)
-        board = boards[board_id]
-        channel = board.channels[channel_id]
-        target = position_to_steps(cmd.target, channel.steps_full_range)
-        request = Frame(
-            board_id,
-            Opcode.SET_TARGET,
-            bytes((channel_id, target >> 8, target & 0xFF)),
-        )
-        received = decode_frame(encode_frame(request))  # around the ring and back
-        events.append(
-            LogEvent(
-                item.dispatch_time,
-                board_id,
-                "set_target",
-                (
-                    ("leaf", cmd.leaf),
-                    ("channel", channel_id),
-                    ("from_step", channel.current_step),
-                    ("target_step", target),
-                ),
-            )
-        )
-        withheld = max(0.0, item.dispatch_time - ctrl.clock)
-        channel = replace(
-            channel, target_step=target, step_carry=-withheld * ctrl.step_rate
-        )
-        channels = list(board.channels)
-        channels[channel_id] = channel
-        boards[board_id] = replace(board, channels=tuple(channels))
-        ack = decode_frame(encode_frame(Frame(received.board_id, Opcode.ACK,
-                                              bytes((channel_id,)))))
-        events.append(
-            LogEvent(item.dispatch_time, ack.board_id, "ack", (("leaf", cmd.leaf),))
-        )
-    for board_id in range(MOTOR_BOARDS):
-        board = boards[board_id]
-        if not board.powered:
-            continue  # unpowered channels hold position exactly
-        channels = list(board.channels)
-        changed = False
-        for channel_id, channel in enumerate(channels):
-            if not channel.moving:
-                continue
-            budget = ctrl.step_rate * dt + channel.step_carry
-            remaining = abs(channel.target_step - channel.current_step)
-            steps = min(int(budget), remaining)
-            if steps == 0:
-                channels[channel_id] = replace(channel, step_carry=budget)
-                changed = True
-                continue
-            direction = 1 if channel.target_step > channel.current_step else -1
-            new_step = channel.current_step + direction * steps
-            reached = new_step == channel.target_step
-            channels[channel_id] = replace(
-                channel,
-                current_step=new_step,
-                rotation_count=channel.rotation_count + steps,
-                step_carry=0.0 if reached else budget - steps,
-            )
-            changed = True
-            leaf = board_id * 2 + channel_id
-            if new_step == 0:
-                event = Frame(board_id, Opcode.EVENT, bytes((channel_id, EVENT_STOP)))
-                decode_frame(encode_frame(event))
-                events.append(
-                    LogEvent(new_clock, board_id, "stop_sensor", (("leaf", leaf),))
-                )
-            if reached:
-                events.append(
-                    LogEvent(
-                        new_clock,
-                        board_id,
-                        "target_reached",
-                        (("leaf", leaf), ("step", new_step)),
-                    )
-                )
-        if changed:
-            boards[board_id] = replace(board, channels=tuple(channels))
-
-    still_moving = any(ch.moving for b in boards[:MOTOR_BOARDS] for ch in b.channels)
-    if relay_on and not still_moving and not pending:
-        relay_on = False
-        boards = list(_set_motor_power(tuple(boards), False))
-        events.append(LogEvent(new_clock, None, "relay", (("on", False),)))
-
-    return replace(
-        ctrl,
-        boards=tuple(boards),
-        relay_on=relay_on,
-        clock=new_clock,
-        pending=pending,
-        event_log=ctrl.event_log + tuple(events),
-    )
+    return _advance(ctrl, check_dt(dt))
 
 
 def power_gate(ctrl: ControllerState) -> ControllerState:
@@ -305,15 +207,157 @@ def run_plan(
     ctrl: ControllerState, plan: MotionPlan, dt: float = DEFAULT_TICK
 ) -> ControllerState:
     """Submit ``plan`` and tick until it has fully played out (all targets
-    reached and the plan's total duration elapsed)."""
-    ctrl = submit_plan(ctrl, plan)
-    start = ctrl.clock
+    reached and the plan's total duration elapsed).  The ticks run inside
+    this call, which returns one snapshot; a plan whose deadline would take
+    more than :data:`MAX_TICKS` ticks is refused before the first one."""
+    check_dt(dt)
     deadline = plan.total_duration + (len(plan.commands) + 2) * dt + 1.0
-    while ctrl.pending or ctrl.busy or ctrl.clock - start + _EPS < plan.total_duration:
-        if ctrl.clock - start > deadline:
+    if not deadline / dt <= MAX_TICKS:
+        raise SimulationError(
+            f"plan would take more than {MAX_TICKS} ticks of {dt} s to complete"
+        )
+    return _advance(submit_plan(ctrl, plan), dt, plan.total_duration, deadline)
+
+
+def _advance(
+    ctrl: ControllerState,
+    dt: float,
+    duration: float | None = None,
+    deadline: float = math.inf,
+) -> ControllerState:
+    """Tick ``ctrl`` forward on plain per-leaf locals and pack one snapshot.
+
+    With ``duration`` None this is exactly one tick.  Otherwise ticks run
+    until nothing is pending or moving and ``duration`` has elapsed; the
+    run fails once the clock passes ``deadline``.  Each tick repeats the
+    same float steps (clock, motion budget, carry), so the snapshot and the
+    log bytes do not depend on how many ticks one call runs.  ``pending``
+    is in dispatch order, as :func:`submit_plan` queues it, so the commands
+    due in a tick are the head of what is left.
+    """
+    step_rate = ctrl.step_rate
+    budget_per_tick = step_rate * dt
+    motor = ctrl.boards[:MOTOR_BOARDS]
+    powered = [board.powered for board in motor]
+    channels = [channel for board in motor for channel in board.channels]
+    current = [channel.current_step for channel in channels]
+    target = [channel.target_step for channel in channels]
+    rotations = [channel.rotation_count for channel in channels]
+    carry = [channel.step_carry for channel in channels]
+    moving = [leaf for leaf, channel in enumerate(channels) if channel.moving]
+    relay_on = ctrl.relay_on
+    clock = start = ctrl.clock
+    pending = ctrl.pending
+    queued = len(pending)
+    dispatched = 0
+    events: list[LogEvent] = []
+
+    while duration is None or dispatched < queued or moving or (
+        clock - start + _EPS < duration
+    ):
+        if clock - start > deadline:
             raise SimulationError("plan failed to complete in simulated time")
-        ctrl = tick(ctrl, dt)
-    return ctrl
+        new_clock = clock + dt
+
+        # Commands beginning inside this tick window dispatch now; the portion
+        # of the tick before their start time is withheld from their motion
+        # budget (a negative carry), so completion stays within one tick of the
+        # planned schedule.
+        due_before = new_clock - _EPS
+        if dispatched < queued and pending[dispatched].dispatch_time < due_before:
+            if not relay_on:
+                relay_on = True
+                powered = [True] * len(motor)
+                events.append(LogEvent(pending[dispatched].dispatch_time, None,
+                                       "relay", (("on", True),)))
+            while dispatched < queued and pending[dispatched].dispatch_time < due_before:
+                item = pending[dispatched]
+                dispatched += 1
+                leaf = item.command.leaf
+                board_id, channel_id = divmod(leaf, 2)
+                steps = position_to_steps(item.command.target,
+                                          channels[leaf].steps_full_range)
+                request = Frame(
+                    board_id,
+                    Opcode.SET_TARGET,
+                    bytes((channel_id, steps >> 8, steps & 0xFF)),
+                )
+                received = decode_frame(encode_frame(request))  # around the ring and back
+                events.append(
+                    LogEvent(
+                        item.dispatch_time,
+                        board_id,
+                        "set_target",
+                        (
+                            ("leaf", leaf),
+                            ("channel", channel_id),
+                            ("from_step", current[leaf]),
+                            ("target_step", steps),
+                        ),
+                    )
+                )
+                withheld = max(0.0, item.dispatch_time - clock)
+                target[leaf] = steps
+                carry[leaf] = -withheld * step_rate
+                ack = decode_frame(encode_frame(Frame(received.board_id, Opcode.ACK,
+                                                      bytes((channel_id,)))))
+                events.append(
+                    LogEvent(item.dispatch_time, ack.board_id, "ack", (("leaf", leaf),))
+                )
+            moving = [leaf for leaf in range(len(current)) if current[leaf] != target[leaf]]
+
+        reached = False
+        for leaf in moving:
+            board_id = leaf >> 1
+            if not powered[board_id]:
+                continue  # unpowered channels hold position exactly
+            budget = budget_per_tick + carry[leaf]
+            step, goal = current[leaf], target[leaf]
+            steps = min(int(budget), abs(goal - step))
+            if steps == 0:
+                carry[leaf] = budget
+                continue
+            step = step + steps if goal > step else step - steps
+            current[leaf] = step
+            rotations[leaf] += steps
+            if step == 0:
+                event = Frame(board_id, Opcode.EVENT, bytes((leaf & 1, EVENT_STOP)))
+                decode_frame(encode_frame(event))
+                events.append(LogEvent(new_clock, board_id, "stop_sensor", (("leaf", leaf),)))
+            if step == goal:
+                carry[leaf] = 0.0
+                reached = True
+                events.append(LogEvent(new_clock, board_id, "target_reached",
+                                       (("leaf", leaf), ("step", step))))
+            else:
+                carry[leaf] = budget - steps
+        if reached:
+            moving = [leaf for leaf in moving if current[leaf] != target[leaf]]
+
+        if relay_on and not moving and dispatched == queued:
+            relay_on = False
+            powered = [False] * len(motor)
+            events.append(LogEvent(new_clock, None, "relay", (("on", False),)))
+        clock = new_clock
+        if duration is None:
+            break
+
+    packed = iter(
+        LeafChannel(step, goal, channel.steps_full_range, count, rest)
+        for channel, step, goal, count, rest in zip(channels, current, target, rotations, carry)
+    )
+    boards = tuple(
+        replace(board, channels=tuple(next(packed) for _ in board.channels), powered=on)
+        for board, on in zip(motor, powered)
+    )
+    return replace(
+        ctrl,
+        boards=boards + ctrl.boards[MOTOR_BOARDS:],
+        relay_on=relay_on,
+        clock=clock,
+        pending=pending[dispatched:],
+        event_log=ctrl.event_log + tuple(events),
+    )
 
 
 def events_to_ndjson(events: tuple[LogEvent, ...]) -> str:

@@ -92,17 +92,20 @@ class FileFeed:
             time.sleep(min(0.02, timeout))
 
     def _read_line(self) -> str | None:
+        """The next non-blank complete line, skipping blank ones."""
         try:
             with open(self.path, "r", encoding="utf-8") as handle:
                 handle.seek(self._offset)
-                line = handle.readline()
-                if not line.endswith("\n"):
-                    return None  # incomplete write; retry later
-                self._offset = handle.tell()
+                while True:
+                    line = handle.readline()
+                    if not line.endswith("\n"):
+                        return None  # incomplete write; retry later
+                    self._offset = handle.tell()
+                    stripped = line.strip()
+                    if stripped:
+                        return stripped
         except FileNotFoundError:
             return None
-        stripped = line.strip()
-        return stripped if stripped else self._read_line()
 
     def close(self):
         pass
@@ -136,6 +139,7 @@ class ForecastService:
     rejected: list[str] = field(init=False, default_factory=list)
 
     def __post_init__(self):
+        device.check_dt(self.tick)
         self.controller = device.initial_state(self.profile)
 
     def handle_payload(self, payload: str) -> bool:
@@ -147,7 +151,7 @@ class ForecastService:
             return False
         try:
             self.display_series(series)
-        except ValueError as exc:
+        except (ValueError, device.SimulationError) as exc:
             self.rejected.append(str(exc))
             return False
         return True

@@ -1,31 +1,5 @@
 import sys
 from pathlib import Path
 
-from hypothesis import strategies as st
-
+# Test modules import the helpers beside them (oracles, strategies) by name.
 sys.path.insert(0, str(Path(__file__).parent))
-
-from plantchart.series import ForecastSeries
-
-# Rates on the 11-level grid {0.0, 0.1, ..., 1.0}.
-grid_rate = st.integers(min_value=0, max_value=10).map(lambda k: k / 10)
-
-
-@st.composite
-def grid_series(draw, min_length: int = 3, max_length: int = 10) -> ForecastSeries:
-    length = draw(st.integers(min_value=min_length, max_value=max_length))
-    start = draw(st.integers(min_value=8, max_value=18 - (length - 1)))
-    rates = draw(st.lists(grid_rate, min_size=length, max_size=length))
-    return ForecastSeries(
-        hours=tuple(range(start, start + length)), rates=tuple(rates)
-    )
-
-
-@st.composite
-def position_vectors(draw, min_length: int = 3, max_length: int = 10):
-    length = draw(st.integers(min_value=min_length, max_value=max_length))
-    return draw(
-        st.lists(
-            st.integers(min_value=0, max_value=10), min_size=length, max_size=length
-        )
-    )

@@ -2,13 +2,31 @@
 
 These deliberately take a different route than the library code: the
 segmentation oracle classifies every sample in place instead of walking
-monotone runs, and the encoding oracles work on exact integers / decimals
-instead of floats.
+monotone runs, the encoding oracles work on exact integers / decimals
+instead of floats, and the simulator oracle rebuilds the frozen controller
+snapshot with ``dataclasses.replace`` on every tick instead of advancing
+plain per-leaf values.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal
+
+from plantchart.device import (
+    _EPS,
+    DEFAULT_TICK,
+    EVENT_STOP,
+    MOTOR_BOARDS,
+    ControllerState,
+    LogEvent,
+    SimulationError,
+    _set_motor_power,
+    position_to_steps,
+    submit_plan,
+)
+from plantchart.motion import MotionPlan
+from plantchart.protocol import Frame, Opcode, decode_frame, encode_frame
 
 
 def brute_force_variations(rates) -> list[tuple[int, int, int]]:
@@ -77,3 +95,138 @@ def six_step_from_percent(k: int) -> int:
         if k <= threshold:
             return step
     raise AssertionError(f"percent {k} out of range")
+
+
+def reference_tick(ctrl: ControllerState, dt: float) -> ControllerState:
+    """The per-tick simulator :func:`plantchart.device.tick` must match:
+    advance by ``dt`` seconds, dispatch due commands, move powered channels
+    toward their targets, emit sensor events, and gate the relay off once
+    everything is idle, rebuilding every frozen snapshot on the way."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    boards = list(ctrl.boards)
+    events: list[LogEvent] = []
+    relay_on = ctrl.relay_on
+    new_clock = ctrl.clock + dt
+
+    # Commands beginning inside this tick window dispatch now; the portion
+    # of the tick before their start time is withheld from their motion
+    # budget (a negative carry), so completion stays within one tick of the
+    # planned schedule.
+    due = [p for p in ctrl.pending if p.dispatch_time < new_clock - _EPS]
+    pending = tuple(p for p in ctrl.pending if p.dispatch_time >= new_clock - _EPS)
+    if due and not relay_on:
+        relay_on = True
+        boards = list(_set_motor_power(tuple(boards), True))
+        events.append(LogEvent(due[0].dispatch_time, None, "relay", (("on", True),)))
+    for item in due:
+        cmd = item.command
+        board_id, channel_id = divmod(cmd.leaf, 2)
+        board = boards[board_id]
+        channel = board.channels[channel_id]
+        target = position_to_steps(cmd.target, channel.steps_full_range)
+        request = Frame(
+            board_id,
+            Opcode.SET_TARGET,
+            bytes((channel_id, target >> 8, target & 0xFF)),
+        )
+        received = decode_frame(encode_frame(request))  # around the ring and back
+        events.append(
+            LogEvent(
+                item.dispatch_time,
+                board_id,
+                "set_target",
+                (
+                    ("leaf", cmd.leaf),
+                    ("channel", channel_id),
+                    ("from_step", channel.current_step),
+                    ("target_step", target),
+                ),
+            )
+        )
+        withheld = max(0.0, item.dispatch_time - ctrl.clock)
+        channel = replace(
+            channel, target_step=target, step_carry=-withheld * ctrl.step_rate
+        )
+        channels = list(board.channels)
+        channels[channel_id] = channel
+        boards[board_id] = replace(board, channels=tuple(channels))
+        ack = decode_frame(encode_frame(Frame(received.board_id, Opcode.ACK,
+                                              bytes((channel_id,)))))
+        events.append(
+            LogEvent(item.dispatch_time, ack.board_id, "ack", (("leaf", cmd.leaf),))
+        )
+    for board_id in range(MOTOR_BOARDS):
+        board = boards[board_id]
+        if not board.powered:
+            continue  # unpowered channels hold position exactly
+        channels = list(board.channels)
+        changed = False
+        for channel_id, channel in enumerate(channels):
+            if not channel.moving:
+                continue
+            budget = ctrl.step_rate * dt + channel.step_carry
+            remaining = abs(channel.target_step - channel.current_step)
+            steps = min(int(budget), remaining)
+            if steps == 0:
+                channels[channel_id] = replace(channel, step_carry=budget)
+                changed = True
+                continue
+            direction = 1 if channel.target_step > channel.current_step else -1
+            new_step = channel.current_step + direction * steps
+            reached = new_step == channel.target_step
+            channels[channel_id] = replace(
+                channel,
+                current_step=new_step,
+                rotation_count=channel.rotation_count + steps,
+                step_carry=0.0 if reached else budget - steps,
+            )
+            changed = True
+            leaf = board_id * 2 + channel_id
+            if new_step == 0:
+                event = Frame(board_id, Opcode.EVENT, bytes((channel_id, EVENT_STOP)))
+                decode_frame(encode_frame(event))
+                events.append(
+                    LogEvent(new_clock, board_id, "stop_sensor", (("leaf", leaf),))
+                )
+            if reached:
+                events.append(
+                    LogEvent(
+                        new_clock,
+                        board_id,
+                        "target_reached",
+                        (("leaf", leaf), ("step", new_step)),
+                    )
+                )
+        if changed:
+            boards[board_id] = replace(board, channels=tuple(channels))
+
+    still_moving = any(ch.moving for b in boards[:MOTOR_BOARDS] for ch in b.channels)
+    if relay_on and not still_moving and not pending:
+        relay_on = False
+        boards = list(_set_motor_power(tuple(boards), False))
+        events.append(LogEvent(new_clock, None, "relay", (("on", False),)))
+
+    return replace(
+        ctrl,
+        boards=tuple(boards),
+        relay_on=relay_on,
+        clock=new_clock,
+        pending=pending,
+        event_log=ctrl.event_log + tuple(events),
+    )
+
+
+def reference_run_plan(
+    ctrl: ControllerState, plan: MotionPlan, dt: float = DEFAULT_TICK
+) -> ControllerState:
+    """Submit ``plan`` and apply :func:`reference_tick` until it has fully
+    played out (all targets reached and the plan's total duration elapsed)."""
+    ctrl = submit_plan(ctrl, plan)
+    start = ctrl.clock
+    deadline = plan.total_duration + (len(plan.commands) + 2) * dt + 1.0
+    while ctrl.pending or ctrl.busy or ctrl.clock - start + _EPS < plan.total_duration:
+        if ctrl.clock - start > deadline:
+            raise SimulationError("plan failed to complete in simulated time")
+        ctrl = reference_tick(ctrl, dt)
+    return ctrl

@@ -153,6 +153,23 @@ class TestSimulate:
         # final state shows the second variation
         assert json.loads(out)["leaf_positions"][3] == 10
 
+    @pytest.mark.parametrize("command", ["simulate", "serve"])
+    @pytest.mark.parametrize("tick", ["nan", "inf", "0", "-1"])
+    def test_bad_tick_exits_2_with_one_line(self, run, tmp_path, command, tick):
+        source = ["--fixture", "plantform-monday"] if command == "simulate" else [
+            "--listen", str(tmp_path / "feed.ndjson"), "--max-idle-polls", "1"]
+        code, out, err = run(command, *source, "--tick", tick)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "tick" in err
+
+    def test_profile_too_slow_to_finish_exits_4_at_once(self, run, tmp_path):
+        slow = tmp_path / "slow.json"
+        slow.write_text(json.dumps({"name": "slow", "step_rate": 1e-300}))
+        code, _, err = run("simulate", "--fixture", "plantform-monday", "--profile", str(slow))
+        assert code == 4
+        assert err.startswith("simulation error:") and err.count("\n") == 1
+
 
 class TestRender:
     def test_two_sided_leaf_chart_has_double_glyphs(self, run, tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -67,6 +68,26 @@ class TestTick:
     def test_rejects_non_positive_dt(self):
         with pytest.raises(ValueError):
             tick(initial_state(BENCH), 0.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+    def test_tick_and_run_plan_reject_dt_that_is_not_finite_and_positive(self, dt):
+        with pytest.raises(ValueError):
+            tick(initial_state(BENCH), dt)
+        with pytest.raises(ValueError):
+            run_plan(initial_state(BENCH), plan_physical([10], [0], BENCH), dt)
+
+
+class TestBoundedWork:
+    def test_near_zero_step_rate_is_refused_before_the_first_tick(self):
+        slow = DeviceProfile("slow", Modality.PHYSICAL, step_rate=1e-300)
+        with pytest.raises(SimulationError, match="ticks"):
+            run_plan(initial_state(slow), plan_physical([10], [0], slow))
+
+    def test_tick_too_small_for_the_plan_is_refused(self):
+        plan = plan_physical([10], [0], BENCH)
+        assert (plan.total_duration + 4e-7) / 1e-7 > device.MAX_TICKS
+        with pytest.raises(SimulationError, match="ticks"):
+            run_plan(initial_state(BENCH), plan, dt=1e-7)
 
 
 class TestPowerGating:

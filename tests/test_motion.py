@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import position_vectors
+from strategies import position_vectors
 from plantchart.motion import (
     CAIRNFORM,
     PLANTFORM,

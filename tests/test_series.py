@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import grid_series
+from strategies import grid_series
 from oracles import brute_force_variations
 from plantchart.fixtures import interpolate_series
 from plantchart.series import (

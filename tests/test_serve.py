@@ -5,7 +5,7 @@ import pytest
 
 from plantchart import device
 from plantchart.encoder import EncodingMode
-from plantchart.motion import CAIRNSCREEN, PLANTFORM, PLANTSCREEN
+from plantchart.motion import CAIRNSCREEN, PLANTFORM, PLANTSCREEN, DeviceProfile, Modality
 from plantchart.serve import (
     Broker,
     FileFeed,
@@ -108,6 +108,20 @@ class TestForecastService:
         assert service.handle_payload(json.dumps(doc))
         assert service.displayed == 2
 
+    def test_tick_must_be_finite_and_positive(self):
+        with pytest.raises(ValueError):
+            ForecastService(PLANTFORM, tick=float("nan"))
+
+    def test_simulation_failures_are_rejections(self, tmp_path):
+        path = tmp_path / "feed.ndjson"
+        path.write_text(payload_for() + "\n" + payload_for((9, 11, 13)) + "\n")
+        slow = DeviceProfile("slow", Modality.PHYSICAL, step_rate=1e-300)
+        service = ForecastService(slow)
+        accepted = run_service(service, FileFeed(path), max_messages=2, poll_timeout=0.01)
+        assert accepted == 0
+        assert len(service.rejected) == 2
+        assert all("ticks" in reason for reason in service.rejected)
+
     def test_absolute_mode_service(self):
         service = ForecastService(CAIRNSCREEN, EncodingMode.ABSOLUTE_LINEAR, tick=0.5)
         assert service.handle_payload(payload_for((8, 12, 17)))
@@ -133,6 +147,13 @@ class TestFeeds:
         with path.open("a") as handle:
             handle.write(' 1}\n')
         assert feed.poll() is not None
+
+    def test_file_feed_skips_thousands_of_blank_lines(self, tmp_path):
+        path = tmp_path / "feed.ndjson"
+        path.write_text("\n" * 4000 + "  \n" * 1000 + payload_for() + "\n")
+        service = ForecastService(PLANTFORM, tick=0.1)
+        accepted = run_service(service, FileFeed(path), max_messages=1, poll_timeout=0.01)
+        assert accepted == 1
 
     def test_broker_routes_by_topic(self):
         broker = Broker()
