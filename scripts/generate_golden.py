@@ -1,16 +1,22 @@
 #!/usr/bin/env python3
-"""Regenerate the golden gallery documents under tests/golden/.
+"""Regenerate every golden file under tests/golden/: the gallery documents
+and the table of CLI output digests.
 
-Run after any intentional rendering change, then review the diff:
+Run after any intentional output change, then review the diff:
 
     python scripts/generate_golden.py
 """
 
+import sys
 from pathlib import Path
 
 from plantchart.svg import design_space_gallery
 
-GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
+TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
+GOLDEN_DIR = TESTS_DIR / "golden"
+
+sys.path.insert(0, str(TESTS_DIR))
+import cli_digests  # noqa: E402  (lives beside the tests that read its table)
 
 
 def main() -> None:
@@ -19,6 +25,7 @@ def main() -> None:
         path = GOLDEN_DIR / f"{style.label()}.svg"
         path.write_text(document, encoding="utf-8")
         print(f"wrote {path}")
+    print(f"wrote {cli_digests.write_table()}")
 
 
 if __name__ == "__main__":
