@@ -8,19 +8,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import device, fixtures, serve
-from .encoder import EncodingMode, FlatVariationError, encode_series
-from .motion import (
-    BUILTIN_PROFILES,
-    DeviceProfile,
-    plan_for_profile,
-    plan_to_json,
-    profile_from_json,
+from .encoder import (
+    EncodingMode,
+    FlatVariationError,
+    encode_absolute,
+    encode_series,
+    encode_six_step,
 )
+from .motion import BUILTIN_PROFILES, DeviceProfile, MotionPlan, plan_to_json, profile_from_json
 from .render import (
     DEVICE_DIMENSIONS,
     ChartDimensions,
@@ -29,7 +30,6 @@ from .render import (
     parse_style,
 )
 from .series import (
-    FIRST_HOUR,
     ForecastDocumentError,
     ForecastSeries,
     Variation,
@@ -55,7 +55,7 @@ class CliError(Exception):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
@@ -67,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SIMULATION
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plantchart",
         description="Plant-like vertical charts and actuation plans for "
@@ -122,10 +122,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write the design-space gallery here")
     p.set_defaults(handler=cmd_render)
 
-    p = sub.add_parser("serve", help="long-running feed mode")
-    feed = p.add_mutually_exclusive_group(required=True)
-    feed.add_argument("--listen", type=Path, help="tail forecasts from this file")
-    feed.add_argument("--topic", help="subscribe to an in-process topic")
+    p = sub.add_parser("serve", help="show each forecast appended to a file on the "
+                       "simulated device")
+    p.add_argument("--listen", type=Path, required=True,
+                   help="tail forecasts from this file, one JSON document per line")
     _add_mode_arg(p)
     p.add_argument("--profile", default="plantform")
     p.add_argument("--log", type=Path, help="event log destination (NDJSON)")
@@ -231,25 +231,12 @@ def _encode_for(series, variation, mode: EncodingMode) -> list[int]:
         raise CliError(str(exc), EXIT_ENCODING) from None
 
 
-def _variation_positions(series, args) -> tuple[Variation, list[int], list[int]]:
-    """The chosen variation with its positions and leaf indices, restricted
-    to the variation's own hour span."""
-    variation = _pick_variation(segment_variations(series), args.variation_index)
-    mode = EncodingMode(args.mode)
-    positions = _encode_for(series, variation, mode)
-    span = [
-        (hour - FIRST_HOUR, positions[i])
-        for i, hour in enumerate(series.hours)
-        if variation.start <= hour <= variation.end
-    ]
-    leaves, targets = zip(*span)
-    bad = [leaf for leaf, pos in span if leaf > 9 and pos != 0]
-    if bad:
-        raise CliError("the device has no leaf for hours past 17:59", EXIT_ENCODING)
-    kept = [(leaf, pos) for leaf, pos in span if leaf <= 9]
-    leaves = [leaf for leaf, _ in kept]
-    targets = [pos for _, pos in kept]
-    return variation, targets, leaves
+def _plan_variation(series, variation, args, profile) -> MotionPlan:
+    """The CLI's plan: the variation's own leaves, from furled."""
+    try:
+        return serve.plan_variation(series, variation, EncodingMode(args.mode), profile)
+    except ValueError as exc:  # a flat variation or a raised leaf past 17:59
+        raise CliError(str(exc), EXIT_ENCODING) from None
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -294,8 +281,6 @@ def cmd_encode(args) -> int:
     if not variations and mode is not EncodingMode.PEAK_RELATIVE:
         # A flat series still has absolute encodings; there is just no
         # variation to normalize against.
-        from .encoder import encode_absolute, encode_six_step
-
         encode = encode_absolute if mode is EncodingMode.ABSOLUTE_LINEAR else encode_six_step
         positions = [encode(r) for r in series.rates]
     else:
@@ -314,9 +299,8 @@ def cmd_encode(args) -> int:
 def cmd_plan(args) -> int:
     series = _resolve_series(args)
     profile = _resolve_profile(args.profile)
-    _, targets, leaves = _variation_positions(series, args)
-    plan = plan_for_profile(targets, [0] * len(targets), profile, leaves)
-    _emit(plan_to_json(plan), args.out)
+    variation = _pick_variation(segment_variations(series), args.variation_index)
+    _emit(plan_to_json(_plan_variation(series, variation, args, profile)), args.out)
     return EXIT_OK
 
 
@@ -325,10 +309,13 @@ def cmd_simulate(args) -> int:
     profile = _resolve_profile(args.profile)
     service = _service(profile, args)
     if args.all_variations:
-        service.display_series(series)
+        try:
+            service.display_series(series)
+        except ValueError as exc:  # a raised leaf past 17:59
+            raise CliError(str(exc), EXIT_ENCODING) from None
     else:
-        variation, targets, leaves = _variation_positions(series, args)
-        plan = plan_for_profile(targets, [0] * len(targets), profile, leaves)
+        variation = _pick_variation(segment_variations(series), args.variation_index)
+        plan = _plan_variation(series, variation, args, profile)
         service.controller = device.run_plan(service.controller, plan, dt=args.tick)
     _emit(service.event_log_ndjson(), args.out)
     if args.out is not None:
@@ -346,34 +333,39 @@ def cmd_render(args) -> int:
     dims = _resolve_dims(args.dims)
     try:
         w, h = (int(v) for v in args.canvas.lower().split("x"))
-        canvas = (w, h)
     except ValueError:
         raise CliError(f"invalid canvas {args.canvas!r}, expected WIDTHxHEIGHT") from None
+    if w <= 0 or h <= 0:
+        raise CliError(f"invalid canvas {args.canvas!r}: width and height must be positive")
+    canvas = (w, h)
 
     if args.gallery is not None:
         args.gallery.mkdir(parents=True, exist_ok=True)
-        for style_entry, doc in design_space_gallery(dims, canvas):
+        gallery = design_space_gallery(dims, canvas)
+        for style_entry, doc in gallery:
             path = args.gallery / f"{style_entry.label()}.svg"
             path.write_text(doc, encoding="utf-8")
-        print(f"wrote {len(design_space_gallery(dims, canvas))} gallery documents to {args.gallery}")
+        print(f"wrote {len(gallery)} gallery documents to {args.gallery}")
         return EXIT_OK
 
     series = _resolve_series(args)
     variation = _pick_variation(segment_variations(series), args.variation_index)
-    positions = _encode_for(series, variation, EncodingMode(args.mode))
 
     if args.frames is not None:
         profile = _resolve_profile(args.profile)
-        _, targets, leaves = _variation_positions(series, args)
-        plan = plan_for_profile(targets, [0] * len(targets), profile, leaves)
-        hours = [h for h in series.hours if variation.start <= h <= variation.end and h - FIRST_HOUR <= 9]
-        docs = render_frames(plan, hours, style, dims, canvas, fps=args.fps)
+        plan = _plan_variation(series, variation, args, profile)
+        hours = [h for h in variation.hours if h <= serve.MAX_DEVICE_HOUR]
+        try:
+            docs = render_frames(plan, hours, style, dims, canvas, fps=args.fps)
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
         args.frames.mkdir(parents=True, exist_ok=True)
         for i, doc in enumerate(docs):
             (args.frames / f"frame_{i:04d}.svg").write_text(doc, encoding="utf-8")
         print(f"wrote {len(docs)} frames to {args.frames}")
         return EXIT_OK
 
+    positions = _encode_for(series, variation, EncodingMode(args.mode))
     try:
         scene = layout(positions, list(series.hours), style, dims)
     except (ValueError, UnsupportedStyleError) as exc:
@@ -384,16 +376,15 @@ def cmd_render(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    if not (math.isfinite(args.poll_timeout) and args.poll_timeout >= 0):
+        raise CliError(f"poll timeout must be a finite number of seconds >= 0, "
+                       f"got {args.poll_timeout}")
     profile = _resolve_profile(args.profile)
     service = _service(profile, args)
-    if args.listen is not None:
-        feed = serve.FileFeed(args.listen)
-    else:
-        feed = serve.default_broker.subscribe(args.topic or serve.DEFAULT_TOPIC)
     try:
         accepted = serve.run_service(
             service,
-            feed,
+            serve.FileFeed(args.listen),
             max_messages=args.max_messages,
             poll_timeout=args.poll_timeout,
             max_idle_polls=args.max_idle_polls,

@@ -237,6 +237,10 @@ def _advance(
     """
     step_rate = ctrl.step_rate
     budget_per_tick = step_rate * dt
+    if not math.isfinite(budget_per_tick):
+        raise SimulationError(
+            f"motion budget per tick (step rate {step_rate} x tick {dt} s) is not finite"
+        )
     motor = ctrl.boards[:MOTOR_BOARDS]
     powered = [board.powered for board in motor]
     channels = [channel for board in motor for channel in board.channels]

@@ -48,17 +48,25 @@ class DeviceProfile:
     reset_before_next_variation: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "steps_full_range", tuple(self.steps_full_range))
+        try:
+            object.__setattr__(self, "steps_full_range", tuple(self.steps_full_range))
+        except TypeError:
+            raise ValueError("steps_full_range must be a list of step counts") from None
+        if len(self.steps_full_range) != LEAF_COUNT:
+            raise ValueError(
+                f"steps_full_range must hold {LEAF_COUNT} step counts, "
+                f"got {len(self.steps_full_range)}"
+            )
         for i, steps in enumerate(self.steps_full_range):
-            if not STEPS_MIN <= steps <= STEPS_MAX:
+            if not (_is_number(steps) and STEPS_MIN <= steps <= STEPS_MAX):
                 raise ValueError(
-                    f"steps_full_range[{i}] = {steps} out of range "
+                    f"steps_full_range[{i}] = {steps!r} out of range "
                     f"[{STEPS_MIN}, {STEPS_MAX}]"
                 )
-        if self.step_rate <= 0:
-            raise ValueError(f"step_rate must be positive, got {self.step_rate}")
-        if self.per_rate_frame_time <= 0:
-            raise ValueError("per_rate_frame_time must be positive")
+        for name in ("step_rate", "per_rate_frame_time"):
+            value = getattr(self, name)
+            if not (_is_number(value) and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
     def calibrated(self, seed: int) -> "DeviceProfile":
         """A copy with per-leaf step counts drawn uniformly from the
@@ -67,8 +75,9 @@ class DeviceProfile:
         steps = tuple(rng.randint(STEPS_MIN, STEPS_MAX) for _ in self.steps_full_range)
         return replace(self, steps_full_range=steps)
 
-    def full_unfurl_time(self, leaf: int) -> float:
-        return self.steps_full_range[leaf] / self.step_rate
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # The physical step rates are calibrated so that full 10-hour and 8-hour
@@ -309,12 +318,12 @@ def plan_from_json(text: str) -> MotionPlan:
 def profile_from_json(text: str) -> DeviceProfile:
     """Parse a custom profile document (the builtin profiles' JSON shape)."""
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("expected a JSON object")
     return DeviceProfile(
         name=payload["name"],
         modality=Modality(payload.get("modality", "physical")),
-        steps_full_range=tuple(
-            payload.get("steps_full_range", [STEPS_DEFAULT] * LEAF_COUNT)
-        ),
+        steps_full_range=payload.get("steps_full_range", [STEPS_DEFAULT] * LEAF_COUNT),
         step_rate=payload.get("step_rate", 120.0),
         per_rate_frame_time=payload.get("per_rate_frame_time", 2.0),
         reset_before_next_variation=payload.get("reset_before_next_variation", False),

@@ -59,9 +59,6 @@ class Frame:
         object.__setattr__(self, "payload", bytes(self.payload))
         object.__setattr__(self, "opcode", Opcode(self.opcode))
 
-    def wire_length(self) -> int:
-        return HEADER_LEN + len(self.payload) + 1
-
 
 def checksum(data: bytes) -> int:
     value = 0

@@ -80,6 +80,9 @@ class ChartDimensions:
     glyph_max_extent: float  # cm at position 10
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.chart_height, self.glyph_min_extent,
+                                       self.glyph_max_extent))):
+            raise ValueError("chart dimensions must be finite")
         if self.chart_height <= 0:
             raise ValueError("chart_height must be positive")
         if not self.glyph_min_extent < self.glyph_max_extent:

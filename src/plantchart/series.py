@@ -74,8 +74,8 @@ class ForecastSeries:
                 f"hours and rates differ in length: {len(self.hours)} != {len(self.rates)}"
             )
         if not MIN_SAMPLES <= len(self.hours) <= MAX_SAMPLES:
-            raise ValueError(
-                f"series must hold {MIN_SAMPLES}..{MAX_SAMPLES} samples, got {len(self.hours)}"
+            raise ForecastDocumentError(
+                "samples", f"expected {MIN_SAMPLES}..{MAX_SAMPLES} samples, got {len(self.hours)}"
             )
         for i, hour in enumerate(self.hours):
             _check_hour(hour, f"samples[{i}].hour")
@@ -259,7 +259,7 @@ def _load_json(document: str) -> ForecastSeries:
             raise ForecastDocumentError(f"samples[{i}].rate", "missing field")
         hours.append(_check_hour(sample["hour"], f"samples[{i}].hour"))
         rates.append(_check_rate(sample["rate"], f"samples[{i}].rate"))
-    return _build(hours, rates, date)
+    return ForecastSeries(hours, rates, date)
 
 
 def _load_csv(document: str) -> ForecastSeries:
@@ -290,18 +290,4 @@ def _load_csv(document: str) -> ForecastSeries:
             ) from None
         hours.append(_check_hour(hour, f"samples[{i}].hour"))
         rates.append(_check_rate(rate, f"samples[{i}].rate"))
-    return _build(hours, rates, None)
-
-
-def _build(hours: list[int], rates: list[float], date) -> ForecastSeries:
-    if not MIN_SAMPLES <= len(hours) <= MAX_SAMPLES:
-        raise ForecastDocumentError(
-            "samples", f"expected {MIN_SAMPLES}..{MAX_SAMPLES} samples, got {len(hours)}"
-        )
-    for i in range(1, len(hours)):
-        if hours[i] != hours[i - 1] + 1:
-            raise ForecastDocumentError(
-                f"samples[{i}].hour",
-                f"hours must be consecutive: expected {hours[i - 1] + 1}, got {hours[i]}",
-            )
-    return ForecastSeries(hours=tuple(hours), rates=tuple(rates), date=date)
+    return ForecastSeries(hours, rates)

@@ -7,70 +7,37 @@ reset policy), and executes the plans on the simulated hardware, appending
 to the device event log.  Malformed payloads are rejected and the service
 stays up.
 
-Feeds come in two flavours: a file feed that tails a newline-delimited
-document file, and an in-process broker with MQTT-style topics (the default
-topic is ``plantform/forecast``).  The feed listener stays decoupled from
-the simulator: payloads are polled one at a time and the controller state
-only advances in the service loop.
+The feed tails a newline-delimited document file, one forecast per line.
+It stays decoupled from the simulator: payloads are polled one at a time
+and the controller state only advances in the service loop.
+
+:func:`plan_variation` is the one forecast-to-plan step, shared with the
+CLI.  Hours map to device leaves in one place, under :func:`device_targets`.
 """
 
 from __future__ import annotations
 
-import queue
 import time
 from dataclasses import dataclass, field
 
 from . import device
 from .encoder import EncodingMode, encode_series
-from .motion import DeviceProfile, plan_for_profile, transition_plan
-from .series import FIRST_HOUR, ForecastDocumentError, ForecastSeries, load_series, segment_variations
+from .motion import DeviceProfile, MotionPlan, plan_for_profile, transition_plan
+from .series import (
+    FIRST_HOUR,
+    ForecastDocumentError,
+    ForecastSeries,
+    Variation,
+    load_series,
+    segment_variations,
+)
 
-DEFAULT_TOPIC = "plantform/forecast"
 DEVICE_LEAVES = 10
 MAX_DEVICE_HOUR = FIRST_HOUR + DEVICE_LEAVES - 1
 
 
 class FeedClosed(Exception):
     """The feed cannot deliver any further payloads."""
-
-
-class Broker:
-    """Minimal in-process publish/subscribe hub keyed by topic name."""
-
-    def __init__(self):
-        self._subscribers: dict[str, list[queue.SimpleQueue]] = {}
-
-    def subscribe(self, topic: str) -> "BrokerFeed":
-        q: queue.SimpleQueue = queue.SimpleQueue()
-        self._subscribers.setdefault(topic, []).append(q)
-        return BrokerFeed(q)
-
-    def publish(self, topic: str, payload: str) -> int:
-        queues = self._subscribers.get(topic, [])
-        for q in queues:
-            q.put(payload)
-        return len(queues)
-
-
-#: Process-wide broker used by the CLI's ``serve --topic`` mode.
-default_broker = Broker()
-
-
-class BrokerFeed:
-    def __init__(self, q: queue.SimpleQueue):
-        self._queue = q
-        self.closed = False
-
-    def poll(self, timeout: float = 0.0) -> str | None:
-        if self.closed:
-            raise FeedClosed("subscription closed")
-        try:
-            return self._queue.get(timeout=timeout) if timeout else self._queue.get_nowait()
-        except queue.Empty:
-            return None
-
-    def close(self):
-        self.closed = True
 
 
 class FileFeed:
@@ -107,15 +74,22 @@ class FileFeed:
         except FileNotFoundError:
             return None
 
-    def close(self):
-        pass
-
 
 def device_targets(series: ForecastSeries, positions: list[int]) -> list[int]:
-    """Spread per-hour positions over the ten device leaves (hour 8 drives
-    leaf 0); hours the hardware has no leaf for must encode 0."""
+    """Spread per-hour positions over the ten device leaves; leaves with no
+    hour in ``series`` stay at 0."""
     targets = [0] * DEVICE_LEAVES
-    for hour, position in zip(series.hours, positions):
+    for leaf, position in _device_leaves(zip(series.hours, positions)):
+        targets[leaf] = position
+    return targets
+
+
+def _device_leaves(shown) -> list[tuple[int, int]]:
+    """``(leaf, position)`` for each ``(hour, position)`` the device shows:
+    hour 8 drives leaf 0, one leaf per hour up to 17:59.  A later hour has
+    no leaf, so it must encode 0."""
+    leaves = []
+    for hour, position in shown:
         if hour > MAX_DEVICE_HOUR:
             if position != 0:
                 raise ValueError(
@@ -123,8 +97,37 @@ def device_targets(series: ForecastSeries, positions: list[int]) -> list[int]:
                     f"has leaves only up to hour {MAX_DEVICE_HOUR}"
                 )
             continue
-        targets[hour - FIRST_HOUR] = position
-    return targets
+        leaves.append((hour - FIRST_HOUR, position))
+    return leaves
+
+
+def plan_variation(
+    series: ForecastSeries,
+    variation: Variation,
+    mode: EncodingMode,
+    profile: DeviceProfile,
+    current: list[int] | None = None,
+) -> MotionPlan:
+    """The motion plan that shows one variation of ``series``.
+
+    With ``current`` None, only the variation's own leaves move, starting
+    furled.  Given the ten current leaf positions, all ten leaves move from
+    there, through :func:`transition_plan` when any leaf is raised.  Raises
+    ``ValueError`` when an hour past 17:59 encodes a nonzero position.
+    """
+    positions = encode_series(series, variation, mode)
+    if current is None:
+        shown = _device_leaves(
+            (hour, position)
+            for hour, position in zip(series.hours, positions)
+            if variation.start <= hour <= variation.end
+        )
+        targets = [position for _, position in shown]
+        return plan_for_profile(targets, [0] * len(targets), profile, [leaf for leaf, _ in shown])
+    targets = device_targets(series, positions)
+    if any(current):
+        return transition_plan(current, targets, profile)
+    return plan_for_profile(targets, current, profile)
 
 
 @dataclass
@@ -159,13 +162,8 @@ class ForecastService:
     def display_series(self, series: ForecastSeries) -> None:
         """Segment, encode, plan and execute every variation in turn."""
         for variation in segment_variations(series):
-            positions = encode_series(series, variation, self.mode)
-            targets = device_targets(series, positions)
             current = device.leaf_positions(self.controller)
-            if any(current):
-                plan = transition_plan(current, targets, self.profile)
-            else:
-                plan = plan_for_profile(targets, current, self.profile)
+            plan = plan_variation(series, variation, self.mode, self.profile, current)
             self.controller = device.run_plan(self.controller, plan, dt=self.tick)
             self.displayed += 1
 

@@ -136,8 +136,8 @@ def _timeline_extents(timeline, n_hours, full_extension):
 
 
 def _plan_extents(plan, hours, fps, initial_positions):
-    if fps <= 0:
-        raise ValueError("fps must be positive")
+    if not (math.isfinite(fps) and fps > 0):
+        raise ValueError(f"fps must be a finite number > 0, got {fps}")
     if initial_positions is None:
         initial_positions = [0] * len(hours)
     leaves = [h - FIRST_HOUR for h in hours]

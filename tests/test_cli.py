@@ -163,12 +163,71 @@ class TestSimulate:
         assert out == ""
         assert err.count("\n") == 1 and "tick" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["plan"], ["simulate"], ["simulate", "--all-variations"], ["render", "--frames", "frames"],
+    ], ids=["plan", "simulate", "simulate-all", "render-frames"])
+    def test_raised_leaf_at_18_exits_3_with_one_line(self, run, tmp_path, argv):
+        path = tmp_path / "late.csv"
+        path.write_text("hour,rate\n14,0.2\n15,0.5\n16,0.8\n17,0.9\n18,1.0\n")
+        command, *rest = argv
+        rest = [str(tmp_path / arg) if arg == "frames" else arg for arg in rest]
+        code, out, err = run(command, str(path), *rest)
+        assert code == 3
+        assert out == ""
+        assert err == "error: hour 18 carries position 10 but the device has leaves only up to hour 17\n"
+
+    def test_nan_poll_timeout_exits_2_instead_of_polling_forever(self, run, tmp_path):
+        code, out, err = run("serve", "--listen", str(tmp_path / "feed.ndjson"),
+                             "--max-idle-polls", "1", "--poll-timeout", "nan")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "poll timeout" in err
+
     def test_profile_too_slow_to_finish_exits_4_at_once(self, run, tmp_path):
         slow = tmp_path / "slow.json"
         slow.write_text(json.dumps({"name": "slow", "step_rate": 1e-300}))
         code, _, err = run("simulate", "--fixture", "plantform-monday", "--profile", str(slow))
         assert code == 4
         assert err.startswith("simulation error:") and err.count("\n") == 1
+
+
+class TestBadInputs:
+    """Probes that once ended in a traceback now exit 2 or 4 with one line."""
+
+    @pytest.mark.parametrize("argv, profile, code", [
+        pytest.param(["render", "--canvas", "0x0"], None, 2, id="canvas-0x0"),
+        pytest.param(["render", "--dims", "nan,1,2"], None, 2, id="dims-nan"),
+        pytest.param(["render", "--frames", "FRAMES", "--fps", "0"], None, 2, id="fps-0"),
+        pytest.param(["render", "--frames", "FRAMES", "--fps", "nan"], None, 2, id="fps-nan"),
+        pytest.param(["simulate"], {"name": "s", "step_rate": "fast"}, 2, id="step-rate-text"),
+        pytest.param(["plan"], {"name": "s", "per_rate_frame_time": float("inf")}, 2,
+                     id="frame-time-inf"),
+        pytest.param(["plan"], {"name": "s", "steps_full_range": [200]}, 2, id="one-step-count"),
+        pytest.param(["plan"], {"name": "s", "steps_full_range": 200}, 2, id="steps-not-a-list"),
+        pytest.param(["plan"], {"name": "s", "steps_full_range": ["x"] * 10}, 2,
+                     id="step-count-text"),
+        pytest.param(["plan"], ["not", "an", "object"], 2, id="profile-not-an-object"),
+        pytest.param(["simulate", "--tick", "1e10"], {"name": "big", "step_rate": 1e300}, 4,
+                     id="budget-overflow"),
+    ])
+    def test_exits_with_one_line_and_no_traceback(self, run, tmp_path, argv, profile, code):
+        argv = [str(tmp_path / "frames") if arg == "FRAMES" else arg for arg in argv]
+        if profile is not None:
+            path = tmp_path / "profile.json"
+            path.write_text(json.dumps(profile))
+            argv += ["--profile", str(path)]
+        got, out, err = run(*argv, "--fixture", "plantform-monday")
+        assert got == code
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_frames_of_a_two_hour_variation_exit_2(self, run, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("hour,rate\n8,1.0\n9,0.0\n10,1.0\n11,0.0\n")  # first variation 8..9
+        code, out, err = run("render", str(path), "--frames", str(tmp_path / "frames"))
+        assert code == 2
+        assert out == ""
+        assert err == "error: a chart displays 3..10 hours, got 2\n"
 
 
 class TestRender:

@@ -5,15 +5,16 @@ import pytest
 
 from plantchart import device
 from plantchart.encoder import EncodingMode
+from plantchart.fixtures import get_fixture
 from plantchart.motion import CAIRNSCREEN, PLANTFORM, PLANTSCREEN, DeviceProfile, Modality
 from plantchart.serve import (
-    Broker,
     FileFeed,
     ForecastService,
     device_targets,
+    plan_variation,
     run_service,
 )
-from plantchart.series import load_series
+from plantchart.series import load_series, segment_variations
 
 
 def payload_for(anchors=(8, 12, 17)):
@@ -46,6 +47,38 @@ class TestDeviceTargets:
         positions = [0, 4, 4, 5, 10, 5, 4, 3, 1]
         with pytest.raises(ValueError):
             device_targets(series, positions)
+
+
+class TestPlanVariation:
+    def test_without_current_only_the_variation_leaves_move_from_furled(self):
+        series = get_fixture("online1-leaf-one-curvy").series()  # 10..18
+        (variation,) = segment_variations(series)
+        plan = plan_variation(series, variation, EncodingMode.PEAK_RELATIVE, PLANTSCREEN)
+        assert [c.leaf for c in plan.commands] == list(range(2, 10))
+        assert all(c.source == 0 for c in plan.commands)
+
+    def test_with_current_all_ten_leaves_are_planned(self):
+        series = get_fixture("online1-leaf-one-curvy").series()
+        (variation,) = segment_variations(series)
+        plan = plan_variation(series, variation, EncodingMode.PEAK_RELATIVE, PLANTSCREEN,
+                              [0] * 10)
+        assert [c.leaf for c in plan.commands] == list(range(10))
+
+    def test_raised_leaves_transition_through_the_reset_policy(self):
+        series = get_fixture("plantform-monday").series()
+        (variation,) = segment_variations(series)
+        plan = plan_variation(series, variation, EncodingMode.PEAK_RELATIVE, PLANTSCREEN,
+                              [3] * 10)
+        wipe = plan.commands[:10]
+        assert all(c.target == 0 for c in wipe)
+        assert plan.targets == dict(enumerate([0, 4, 4, 5, 10, 5, 5, 4, 3, 0]))
+
+    @pytest.mark.parametrize("current", [None, [0] * 10])
+    def test_a_raised_hour_past_17_is_refused(self, current):
+        series = load_series(payload_for((14, 18, 18)))
+        (variation,) = segment_variations(series)
+        with pytest.raises(ValueError, match="hour 18 carries position 10"):
+            plan_variation(series, variation, EncodingMode.PEAK_RELATIVE, PLANTFORM, current)
 
 
 class TestForecastService:
@@ -155,21 +188,11 @@ class TestFeeds:
         accepted = run_service(service, FileFeed(path), max_messages=1, poll_timeout=0.01)
         assert accepted == 1
 
-    def test_broker_routes_by_topic(self):
-        broker = Broker()
-        feed = broker.subscribe("plantform/forecast")
-        assert broker.publish("plantform/forecast", "x") == 1
-        assert broker.publish("other/topic", "y") == 0
-        assert feed.poll() == "x"
-        assert feed.poll() is None
-
-    def test_run_service_over_a_broker(self):
-        broker = Broker()
-        feed = broker.subscribe("plantform/forecast")
-        broker.publish("plantform/forecast", payload_for())
-        broker.publish("plantform/forecast", "garbage")
+    def test_run_service_over_a_mixed_stream(self, tmp_path):
+        path = tmp_path / "feed.ndjson"
+        path.write_text(payload_for() + "\ngarbage\n")
         service = ForecastService(PLANTFORM, tick=0.1)
-        accepted = run_service(service, feed, max_messages=2, poll_timeout=0.01)
+        accepted = run_service(service, FileFeed(path), max_messages=2, poll_timeout=0.01)
         assert accepted == 1
         assert service.displayed == 1
         assert len(service.rejected) == 1
@@ -183,16 +206,16 @@ class TestFeeds:
         )
         assert accepted == 1
 
-    def test_threaded_publisher(self):
-        broker = Broker()
-        feed = broker.subscribe("plantform/forecast")
+    def test_threaded_publisher(self, tmp_path):
+        path = tmp_path / "feed.ndjson"
 
         def publish_later():
-            broker.publish("plantform/forecast", payload_for((12, 14, 15)))
+            with path.open("a") as handle:
+                handle.write(payload_for((12, 14, 15)) + "\n")
 
         timer = threading.Timer(0.05, publish_later)
         timer.start()
         service = ForecastService(PLANTFORM, tick=0.1)
-        accepted = run_service(service, feed, max_messages=1, poll_timeout=0.05)
+        accepted = run_service(service, FileFeed(path), max_messages=1, poll_timeout=0.05)
         timer.join()
         assert accepted == 1
