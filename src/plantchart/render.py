@@ -189,6 +189,38 @@ def layout_extents(
 ) -> ChartScene:
     """Continuous-extent variant of :func:`layout` (used for animation
     frames; extents in [0, 1])."""
+    check_extents(extents, hours)
+    n = len(hours)
+    height = dims.chart_height
+    trunk = GlyphPath(
+        tuple(
+            (trunk_x(style, dims, k / TRUNK_SAMPLES), height * k / TRUNK_SAMPLES)
+            for k in range(TRUNK_SAMPLES + 1)
+        )
+    )
+
+    anchors = []
+    glyphs = []
+    for i, (hour, extent) in enumerate(zip(hours, extents)):
+        anchor, anchor_glyphs = place_anchor(i, hour, extent, n, style, dims)
+        anchors.append(anchor)
+        glyphs.extend(anchor_glyphs)
+
+    return ChartScene(
+        style=style,
+        dims=dims,
+        hours=tuple(hours),
+        extents=tuple(extents),
+        trunk=trunk,
+        anchors=tuple(anchors),
+        glyphs=tuple(glyphs),
+        slot=height / n,
+    )
+
+
+def check_extents(extents: list[float], hours: list[HourSlot]) -> None:
+    """Raise ``ValueError`` unless ``extents`` can be drawn over ``hours``:
+    one extent in [0, 1] per hour, for 3..10 hours."""
     if len(extents) != len(hours):
         raise ValueError(
             f"positions and hours differ in length: {len(extents)} != {len(hours)}"
@@ -201,42 +233,40 @@ def layout_extents(
         if not 0.0 <= e <= 1.0 + 1e-9:
             raise ValueError(f"extent {e} out of range [0, 1]")
 
-    n = len(hours)
+
+def place_anchor(
+    index: int,
+    hour: HourSlot,
+    extent: float,
+    n: int,
+    style: ChartStyle,
+    dims: ChartDimensions,
+) -> tuple[Anchor, tuple[Glyph, ...]]:
+    """The anchor ``index`` of ``n`` and the glyphs it carries at
+    ``extent``; they depend on nothing else, so animation frames reuse
+    them while the extent holds."""
     height = dims.chart_height
     slot = height / n
-    trunk = GlyphPath(
-        tuple(
-            (trunk_x(style, dims, k / TRUNK_SAMPLES), height * k / TRUNK_SAMPLES)
-            for k in range(TRUNK_SAMPLES + 1)
+    t = (index + 0.5) / n
+    point = (trunk_x(style, dims, t), height * t)
+    if style.anchoring is Anchoring.ALTERNATED:
+        side = LEFT if index % 2 == 0 else RIGHT
+    else:
+        side = RIGHT
+    anchor = Anchor(hour, point, side)
+    if style.decoration is Decoration.RING:
+        return anchor, (_ring_glyph(index, point, extent, style, dims, slot),)
+    paths = _right_paths(point, extent, style, dims, slot)
+    sides = (RIGHT, LEFT) if style.anchoring is Anchoring.TWO_SIDED else (side,)
+    return anchor, tuple(
+        Glyph(
+            index,
+            style.decoration,
+            extent,
+            glyph_side,
+            tuple(_mirror(path, point[0]) for path in paths) if glyph_side == LEFT else paths,
         )
-    )
-
-    anchors = []
-    glyphs = []
-    for i, (hour, extent) in enumerate(zip(hours, extents)):
-        t = (i + 0.5) / n
-        point = (trunk_x(style, dims, t), height * t)
-        if style.anchoring is Anchoring.ALTERNATED:
-            side = LEFT if i % 2 == 0 else RIGHT
-        else:
-            side = RIGHT
-        anchors.append(Anchor(hour, point, side))
-        if style.decoration is Decoration.RING:
-            glyphs.append(_ring_glyph(i, point, extent, style, dims, slot))
-            continue
-        sides = (RIGHT, LEFT) if style.anchoring is Anchoring.TWO_SIDED else (side,)
-        for glyph_side in sides:
-            glyphs.append(_side_glyph(i, point, extent, glyph_side, style, dims, slot))
-
-    return ChartScene(
-        style=style,
-        dims=dims,
-        hours=tuple(hours),
-        extents=tuple(extents),
-        trunk=trunk,
-        anchors=tuple(anchors),
-        glyphs=tuple(glyphs),
-        slot=slot,
+        for glyph_side in sides
     )
 
 
@@ -253,16 +283,14 @@ def glyph_extent_measure(scene: ChartScene, glyph: Glyph) -> float:
     return max(abs(x - ax) for x, _ in primary.points)
 
 
-def _side_glyph(index, point, extent, side, style, dims, slot) -> Glyph:
+def _right_paths(point, extent, style, dims, slot) -> tuple[GlyphPath, ...]:
+    """A side decoration's paths as drawn to the right of its anchor; the
+    left one is their mirror image."""
     if style.decoration is Decoration.LEAF:
-        paths = _leaf_paths(point, extent, style, dims)
-    elif style.decoration is Decoration.BAMBOO:
-        paths = _bamboo_paths(point, extent, dims, slot)
-    else:
-        paths = _bar_paths(point, extent, dims, slot)
-    if side == LEFT:
-        paths = tuple(_mirror(path, point[0]) for path in paths)
-    return Glyph(index, style.decoration, extent, side, paths)
+        return _leaf_paths(point, extent, style, dims)
+    if style.decoration is Decoration.BAMBOO:
+        return _bamboo_paths(point, extent, dims, slot)
+    return _bar_paths(point, extent, dims, slot)
 
 
 def _mirror(path: GlyphPath, axis_x: float) -> GlyphPath:

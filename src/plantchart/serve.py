@@ -34,6 +34,7 @@ from .series import (
 
 DEVICE_LEAVES = 10
 MAX_DEVICE_HOUR = FIRST_HOUR + DEVICE_LEAVES - 1
+POLL_QUANTUM = 0.02  # seconds between two reads of an idle feed
 
 
 class FeedClosed(Exception):
@@ -56,7 +57,7 @@ class FileFeed:
                 return line
             if time.monotonic() >= deadline:
                 return None
-            time.sleep(min(0.02, timeout))
+            time.sleep(min(POLL_QUANTUM, timeout))
 
     def _read_line(self) -> str | None:
         """The next non-blank complete line, skipping blank ones."""
@@ -180,7 +181,9 @@ def run_service(
 ) -> int:
     """Poll the feed until ``max_messages`` payloads were handled (or the
     feed stays silent for ``max_idle_polls`` polls).  Returns the number of
-    accepted payloads.  Poll failures back off, doubling up to one second."""
+    accepted payloads.  Poll failures back off, doubling up to one second
+    from at least :data:`POLL_QUANTUM`, so an idle feed is never polled
+    in a busy loop, even with a zero ``poll_timeout``."""
     accepted = 0
     handled = 0
     idle = 0
@@ -192,7 +195,7 @@ def run_service(
             break
         if payload is None:
             idle += 1
-            backoff = min(1.0, backoff * 2)
+            backoff = min(1.0, max(POLL_QUANTUM, backoff * 2))
             if max_idle_polls is not None and idle >= max_idle_polls:
                 break
             continue

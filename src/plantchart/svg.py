@@ -5,6 +5,15 @@ emitted in a fixed order (trunk, glyphs, labels), so the same scene always
 serializes to the same bytes -- golden-file tests compare documents
 directly.  Shapes keep a single unchanging green; only shape encodes the
 data.
+
+Static charts and animation frames share one serializer, in three parts:
+the header with the trunk, the glyphs, and the hour labels with the closing
+tag.  Within one :func:`render_frames` call the canvas, style, dimensions
+and hours are fixed, so the projection and the first and last parts are
+serialized once.  An anchor's glyph text depends only on the anchor's index
+and its extent: it is laid out and serialized the first time a frame shows
+that pair, and later frames showing it reuse the text.  Each frame thus
+costs only the anchors that moved since an earlier frame.
 """
 
 from __future__ import annotations
@@ -20,10 +29,13 @@ from .render import (
     ChartScene,
     ChartStyle,
     Decoration,
+    Glyph,
     GlyphPath,
     TrunkForm,
+    check_extents,
     layout,
     layout_extents,
+    place_anchor,
 )
 from .series import FIRST_HOUR
 
@@ -38,6 +50,15 @@ MARGIN_RATIO = 0.06
 
 def render_svg(scene: ChartScene, canvas: tuple[int, int] = DEFAULT_CANVAS) -> str:
     """Serialize a scene to a standalone SVG 1.1 document."""
+    head, glyph_text, tail = _serializer(scene, canvas)
+    return head + "".join(map(glyph_text, scene.glyphs)) + tail
+
+
+def _serializer(scene: ChartScene, canvas: tuple[int, int]):
+    """The three parts of a scene's document: the text before the glyphs
+    (header and trunk), a function serializing one glyph, and the text
+    after them (hour labels and the closing tag).  Only the glyph text
+    depends on the extents, and every part ends in a newline."""
     width, height = canvas
     if width <= 0 or height <= 0:
         raise ValueError(f"canvas must have positive area, got {canvas}")
@@ -51,42 +72,43 @@ def render_svg(scene: ChartScene, canvas: tuple[int, int] = DEFAULT_CANVAS) -> s
     world_h = dims.chart_height * 1.12
     margin = MARGIN_RATIO * min(width, height)
     scale = min((width - 2 * margin) / world_w, (height - 2 * margin) / world_h)
+    x0 = width / 2
+    y0 = height - margin
 
-    def project(p):
-        x, y = p
-        return (width / 2 + x * scale, height - margin - y * scale)
-
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    head = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<path d="{_path_d(scene.trunk, project)}" fill="none" '
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n'
+        f'<path d="{_path_d(scene.trunk, x0, y0, scale)}" fill="none" '
         f'stroke="{TRUNK_STROKE}" stroke-width="{_fmt(0.16 * scene.slot * scale)}" '
-        'stroke-linecap="round"/>',
-    ]
-    for glyph in scene.glyphs:
-        for path in glyph.paths:
-            d = _path_d(path, project)
-            if path.closed:
-                lines.append(
-                    f'<path d="{d}" fill="{GLYPH_FILL}" stroke="{GLYPH_STROKE}" '
-                    f'stroke-width="{_fmt(0.03 * scene.slot * scale)}"/>'
-                )
-            else:
-                lines.append(
-                    f'<path d="{d}" fill="none" stroke="{GLYPH_STROKE}" '
-                    f'stroke-width="{_fmt(0.05 * scene.slot * scale)}"/>'
-                )
-    font = _fmt(0.34 * scene.slot * scale)
-    for anchor in scene.anchors:
-        x, y = project(anchor.point)
-        lines.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{font}" '
-            f'font-family="sans-serif" text-anchor="middle" dominant-baseline="middle" '
-            f'fill="{LABEL_FILL}">{anchor.hour}H</text>'
+        'stroke-linecap="round"/>\n'
+    )
+    closed_attrs = (
+        f'" fill="{GLYPH_FILL}" stroke="{GLYPH_STROKE}" '
+        f'stroke-width="{_fmt(0.03 * scene.slot * scale)}"/>\n'
+    )
+    open_attrs = (
+        f'" fill="none" stroke="{GLYPH_STROKE}" '
+        f'stroke-width="{_fmt(0.05 * scene.slot * scale)}"/>\n'
+    )
+
+    def glyph_text(glyph: Glyph) -> str:
+        return "".join(
+            f'<path d="{_path_d(path, x0, y0, scale)}'
+            + (closed_attrs if path.closed else open_attrs)
+            for path in glyph.paths
         )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+
+    font = _fmt(0.34 * scene.slot * scale)
+    labels = []
+    for anchor in scene.anchors:
+        x, y = anchor.point
+        labels.append(
+            f'<text x="{_fmt(x0 + x * scale)}" y="{_fmt(y0 - y * scale)}" font-size="{font}" '
+            f'font-family="sans-serif" text-anchor="middle" dominant-baseline="middle" '
+            f'fill="{LABEL_FILL}">{anchor.hour}H</text>\n'
+        )
+    return head, glyph_text, "".join(labels) + "</svg>\n"
 
 
 def render_frames(
@@ -110,10 +132,29 @@ def render_frames(
         extent_rows = _timeline_extents(source, len(hours), full_extension)
     else:
         extent_rows = _plan_extents(source, hours, fps, initial_positions)
-    return [
-        render_svg(layout_extents(row, hours, style, dims), canvas)
-        for row in extent_rows
-    ]
+    if not extent_rows:
+        return []
+    scene = layout_extents(extent_rows[0], hours, style, dims)
+    head, glyph_text, tail = _serializer(scene, canvas)
+    # Glyph text of one anchor at one extent, seeded from the first frame.
+    pieces: dict[tuple[int, float], str] = {}
+    for glyph in scene.glyphs:
+        key = (glyph.anchor_index, glyph.extent)
+        pieces[key] = pieces.get(key, "") + glyph_text(glyph)
+    n = len(hours)
+    docs = []
+    for row in extent_rows:
+        check_extents(row, hours)
+        parts = [head]
+        for i, extent in enumerate(row):
+            piece = pieces.get((i, extent))
+            if piece is None:
+                _, glyphs = place_anchor(i, hours[i], extent, n, style, dims)
+                piece = pieces[i, extent] = "".join(map(glyph_text, glyphs))
+            parts.append(piece)
+        parts.append(tail)
+        docs.append("".join(parts))
+    return docs
 
 
 def _timeline_extents(timeline, n_hours, full_extension):
@@ -145,29 +186,33 @@ def _plan_extents(plan, hours, fps, initial_positions):
     for cmd in plan.commands:
         if cmd.leaf in per_leaf:
             per_leaf[cmd.leaf].append(cmd)
-
-    def position_at(leaf, base, t):
-        pos = float(base)
-        for cmd in per_leaf[leaf]:
-            if t >= cmd.start_time + cmd.duration:
-                pos = float(cmd.target)
-            elif t >= cmd.start_time:
-                frac = (t - cmd.start_time) / cmd.duration if cmd.duration else 1.0
-                pos = cmd.source + (cmd.target - cmd.source) * frac
-            else:
-                break
-        return pos
+    # A leaf shows its last started command (in plan order, up to the first
+    # one not yet started).  Frame times only grow, so each leaf's count of
+    # started commands only grows: it is advanced, never recounted.
+    started = dict.fromkeys(leaves, 0)
 
     count = math.ceil(plan.total_duration * fps - 1e-9)
     rows = []
     for k in range(count):
         t = (k + 1) / fps
-        rows.append(
-            [
-                position_at(leaf, base, t) / 10
-                for leaf, base in zip(leaves, initial_positions)
-            ]
-        )
+        row = []
+        for leaf, base in zip(leaves, initial_positions):
+            cmds = per_leaf[leaf]
+            m = started[leaf]
+            while m < len(cmds) and t >= cmds[m].start_time:
+                m += 1
+            started[leaf] = m
+            if m == 0:
+                pos = float(base)
+            else:
+                cmd = cmds[m - 1]
+                if t >= cmd.start_time + cmd.duration:
+                    pos = float(cmd.target)
+                else:
+                    frac = (t - cmd.start_time) / cmd.duration if cmd.duration else 1.0
+                    pos = cmd.source + (cmd.target - cmd.source) * frac
+            row.append(pos / 10)
+        rows.append(row)
     return rows
 
 
@@ -203,14 +248,19 @@ def design_space_gallery(
 
 
 def _fmt(value: float) -> str:
-    return f"{round(value, 3) + 0.0:.3f}"
+    """``value`` to three decimals, rounded correctly; ``-0.000`` prints
+    as ``0.000``."""
+    text = "%.3f" % value
+    return "0.000" if text == "-0.000" else text
 
 
-def _path_d(path: GlyphPath, project) -> str:
-    cmds = []
-    for i, point in enumerate(path.points):
-        x, y = project(point)
-        cmds.append(f"{'M' if i == 0 else 'L'} {_fmt(x)} {_fmt(y)}")
-    if path.closed:
-        cmds.append("Z")
-    return " ".join(cmds)
+def _path_d(path: GlyphPath, x0: float, y0: float, scale: float) -> str:
+    """Path data for ``path`` projected to ``(x0 + x*scale, y0 - y*scale)``,
+    every coordinate formatted as :func:`_fmt` does."""
+    d = " L ".join(
+        ["%.3f %.3f" % (x0 + x * scale, y0 - y * scale) for x, y in path.points]
+    )
+    # A token is "-0.000" only where _fmt would print "0.000": every token
+    # has exactly three decimals and a sign only at its start.
+    d = "M " + d.replace("-0.000", "0.000")
+    return d + " Z" if path.closed else d

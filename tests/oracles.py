@@ -3,13 +3,16 @@
 These deliberately take a different route than the library code: the
 segmentation oracle classifies every sample in place instead of walking
 monotone runs, the encoding oracles work on exact integers / decimals
-instead of floats, and the simulator oracle rebuilds the frozen controller
+instead of floats, the simulator oracle rebuilds the frozen controller
 snapshot with ``dataclasses.replace`` on every tick instead of advancing
-plain per-leaf values.
+plain per-leaf values, and the frames oracle lays out and serializes every
+frame whole, formatting each coordinate through ``round``, instead of
+reusing per-anchor glyph text.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -25,8 +28,19 @@ from plantchart.device import (
     position_to_steps,
     submit_plan,
 )
-from plantchart.motion import MotionPlan
+from plantchart.motion import FrameTimeline, MotionPlan
 from plantchart.protocol import Frame, Opcode, decode_frame, encode_frame
+from plantchart.render import DEFAULT_DIMENSIONS, layout_extents
+from plantchart.series import FIRST_HOUR
+from plantchart.svg import (
+    DEFAULT_CANVAS,
+    GLYPH_FILL,
+    GLYPH_STROKE,
+    LABEL_FILL,
+    MARGIN_RATIO,
+    TRUNK_STROKE,
+    _timeline_extents,
+)
 
 
 def brute_force_variations(rates) -> list[tuple[int, int, int]]:
@@ -230,3 +244,125 @@ def reference_run_plan(
             raise SimulationError("plan failed to complete in simulated time")
         ctrl = reference_tick(ctrl, dt)
     return ctrl
+
+
+def reference_render_frames(
+    source,
+    hours,
+    style,
+    dims=DEFAULT_DIMENSIONS,
+    canvas=DEFAULT_CANVAS,
+    fps=4.0,
+    initial_positions=None,
+    full_extension=None,
+) -> list[str]:
+    """The documents :func:`plantchart.svg.render_frames` must return: each
+    frame laid out and serialized on its own."""
+    if isinstance(source, FrameTimeline):
+        rows = _timeline_extents(source, len(hours), full_extension)
+    else:
+        rows = _reference_plan_extents(source, hours, fps, initial_positions)
+    return [reference_render_svg(layout_extents(row, hours, style, dims), canvas)
+            for row in rows]
+
+
+def _reference_plan_extents(plan, hours, fps, initial_positions):
+    """Every leaf's extent at every frame time, rescanning the leaf's
+    commands from the first one each time."""
+    if not (math.isfinite(fps) and fps > 0):
+        raise ValueError(f"fps must be a finite number > 0, got {fps}")
+    if initial_positions is None:
+        initial_positions = [0] * len(hours)
+    leaves = [h - FIRST_HOUR for h in hours]
+    per_leaf = {leaf: [] for leaf in leaves}
+    for cmd in plan.commands:
+        if cmd.leaf in per_leaf:
+            per_leaf[cmd.leaf].append(cmd)
+
+    def position_at(leaf, base, t):
+        pos = float(base)
+        for cmd in per_leaf[leaf]:
+            if t >= cmd.start_time + cmd.duration:
+                pos = float(cmd.target)
+            elif t >= cmd.start_time:
+                frac = (t - cmd.start_time) / cmd.duration if cmd.duration else 1.0
+                pos = cmd.source + (cmd.target - cmd.source) * frac
+            else:
+                break
+        return pos
+
+    count = math.ceil(plan.total_duration * fps - 1e-9)
+    rows = []
+    for k in range(count):
+        t = (k + 1) / fps
+        rows.append(
+            [
+                position_at(leaf, base, t) / 10
+                for leaf, base in zip(leaves, initial_positions)
+            ]
+        )
+    return rows
+
+
+def reference_render_svg(scene, canvas=DEFAULT_CANVAS) -> str:
+    """One whole document per scene, line by line, every coordinate through
+    :func:`reference_fmt`."""
+    width, height = canvas
+    if width <= 0 or height <= 0:
+        raise ValueError(f"canvas must have positive area, got {canvas}")
+    dims = scene.dims
+    amplitude = 0.08 * dims.chart_height
+    reach = dims.glyph_max_extent + amplitude
+    world_w = 2 * reach * 1.06
+    world_h = dims.chart_height * 1.12
+    margin = MARGIN_RATIO * min(width, height)
+    scale = min((width - 2 * margin) / world_w, (height - 2 * margin) / world_h)
+
+    def project(p):
+        x, y = p
+        return (width / 2 + x * scale, height - margin - y * scale)
+
+    def path_d(path):
+        cmds = []
+        for i, point in enumerate(path.points):
+            x, y = project(point)
+            cmds.append(f"{'M' if i == 0 else 'L'} {reference_fmt(x)} {reference_fmt(y)}")
+        if path.closed:
+            cmds.append("Z")
+        return " ".join(cmds)
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+        f'<path d="{path_d(scene.trunk)}" fill="none" '
+        f'stroke="{TRUNK_STROKE}" stroke-width="{reference_fmt(0.16 * scene.slot * scale)}" '
+        'stroke-linecap="round"/>',
+    ]
+    for glyph in scene.glyphs:
+        for path in glyph.paths:
+            if path.closed:
+                lines.append(
+                    f'<path d="{path_d(path)}" fill="{GLYPH_FILL}" stroke="{GLYPH_STROKE}" '
+                    f'stroke-width="{reference_fmt(0.03 * scene.slot * scale)}"/>'
+                )
+            else:
+                lines.append(
+                    f'<path d="{path_d(path)}" fill="none" stroke="{GLYPH_STROKE}" '
+                    f'stroke-width="{reference_fmt(0.05 * scene.slot * scale)}"/>'
+                )
+    font = reference_fmt(0.34 * scene.slot * scale)
+    for anchor in scene.anchors:
+        x, y = project(anchor.point)
+        lines.append(
+            f'<text x="{reference_fmt(x)}" y="{reference_fmt(y)}" font-size="{font}" '
+            f'font-family="sans-serif" text-anchor="middle" dominant-baseline="middle" '
+            f'fill="{LABEL_FILL}">{anchor.hour}H</text>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def reference_fmt(value: float) -> str:
+    """Three decimals by ``round`` first; adding 0.0 turns -0.0 into 0.0."""
+    return f"{round(value, 3) + 0.0:.3f}"

@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from plantchart.motion import PLANTSCREEN, lowfi_timeline, plan_graphical
+from plantchart.motion import (
+    CAIRNSCREEN,
+    PLANTSCREEN,
+    MotionCommand,
+    MotionPlan,
+    lowfi_timeline,
+    plan_for_profile,
+    plan_graphical,
+)
 from plantchart.render import (
     DEVICE_DIMENSIONS,
     Anchoring,
@@ -209,6 +217,33 @@ class TestRenderFrames:
         docs = render_frames(plan, HOURS10, LEAF_TWO_CURVY, fps=2.0)
         final = render_svg(layout([10] * 10, HOURS10, LEAF_TWO_CURVY))
         assert docs[-1] == final
+
+    def test_empty_plan_renders_nothing(self):
+        assert render_frames(MotionPlan("plantscreen", (), 0.0), HOURS10, LEAF_TWO_CURVY) == []
+
+    @pytest.mark.parametrize(
+        "duration, fps, count",
+        [
+            (20.0, 4.0, 80),
+            (0.1 * 3, 10.0, 3),  # 3.0000000000000004 frames
+            (3 + 5e-10, 1.0, 3),
+            (3 - 5e-10, 1.0, 3),
+            (3 + 2e-9, 1.0, 4),
+        ],
+    )
+    def test_frame_count_within_1e_9_of_a_whole_number(self, duration, fps, count):
+        plan = MotionPlan("plantscreen", (MotionCommand(0, 0, 10, 0.0, duration),), duration)
+        assert len(render_frames(plan, HOURS10, BAR_ONE_STRAIGHT, fps=fps)) == count
+
+    def test_cairnscreen_final_frame_is_the_static_chart(self):
+        style = parse_style("ring,two-sided,straight")
+        dims = DEVICE_DIMENSIONS["cairnscreen"]
+        hours = [9, 10, 11, 12, 13]
+        targets = [0, 4, 10, 5, 3]
+        plan = plan_for_profile(targets, [0] * 5, CAIRNSCREEN, [h - 8 for h in hours])
+        docs = render_frames(plan, hours, style, dims, fps=3.0)
+        assert len(docs) == 30
+        assert docs[-1] == render_svg(layout(targets, hours, style, dims))
 
 
 class TestGallery:

@@ -206,6 +206,22 @@ class TestFeeds:
         )
         assert accepted == 1
 
+    def test_idle_feed_is_polled_with_a_positive_timeout(self):
+        class SilentFeed:
+            def __init__(self):
+                self.timeouts = []
+
+            def poll(self, timeout=0.0):
+                self.timeouts.append(timeout)
+                return None
+
+        feed = SilentFeed()
+        service = ForecastService(PLANTFORM, tick=0.1)
+        assert run_service(service, feed, poll_timeout=0, max_idle_polls=8) == 0
+        assert len(feed.timeouts) == 8
+        assert feed.timeouts[0] == 0
+        assert all(0 < t <= 1.0 for t in feed.timeouts[1:]), feed.timeouts
+
     def test_threaded_publisher(self, tmp_path):
         path = tmp_path / "feed.ndjson"
 
