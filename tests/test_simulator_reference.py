@@ -20,6 +20,8 @@ from plantchart.motion import (
     PLANTFORM,
     PLANTSCREEN,
     Modality,
+    MotionCommand,
+    MotionPlan,
     plan_for_profile,
     transition_plan,
 )
@@ -192,3 +194,110 @@ def test_chained_plans_match_the_reference(profile, current, first, second, dt):
             assert ours == reference
             return
         assert_same_run(ours, reference)
+
+
+def assert_plan_matches_reference(ctrl, plan, dt):
+    """``run_plan`` and ``tick`` stepping both end where the reference does."""
+    reference = reference_run_plan(ctrl, plan, dt)
+    assert_same_run(device.run_plan(ctrl, plan, dt), reference)
+    assert_same_run(stepped_run(ctrl, plan, dt, device.tick)[0], reference)
+    return reference
+
+
+def staggered_plan(dt, offset, ticks=(1, 37, 74, 111, 148)):
+    """Leaves 0..4 each unfurl two positions, starting ``offset`` off the
+    tick multiples ``k * dt``."""
+    commands = [
+        MotionCommand(leaf, 0, 2, k * dt + offset, 36 * dt) for leaf, k in enumerate(ticks)
+    ]
+    return MotionPlan("plantform", commands, max(c.start_time + c.duration for c in commands))
+
+
+def clustered_plan(dt, k=20):
+    """Five leaves whose start times straddle one tick boundary."""
+    offsets = (-2e-9, -5e-10, 0.0, 5e-10, 2e-9)
+    commands = [
+        MotionCommand(leaf, 0, 3, k * dt + off, 0.5) for leaf, off in zip(range(5, 10), offsets)
+    ]
+    return MotionPlan("plantform", commands, max(c.start_time + c.duration for c in commands))
+
+
+@pytest.mark.parametrize("offset", [0.0, 5e-10, -5e-10, 2e-9, -2e-9])
+@pytest.mark.parametrize("dt", [0.01, 0.013])
+def test_dispatch_times_near_tick_boundaries(dt, offset):
+    ctrl = device.initial_state(PLANTFORM)
+    ctrl = assert_plan_matches_reference(ctrl, staggered_plan(dt, offset), dt)
+    assert_plan_matches_reference(ctrl, clustered_plan(dt), dt)
+
+
+def test_a_leaf_retargeted_while_still_moving():
+    # Leaf 0 needs ~1.8 s for 0 -> 10 but is sent back to 2 after 0.5 s.
+    plan = MotionPlan("plantform", (
+        MotionCommand(0, 0, 10, 0.0, 0.5),
+        MotionCommand(1, 0, 4, 0.25, 0.3),
+        MotionCommand(0, 10, 2, 0.5, 0.7),
+    ), 1.2)
+    ctrl = device.initial_state(PLANTFORM)
+    for dt in (0.01, 0.07):
+        assert_plan_matches_reference(ctrl, plan, dt)
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.3])
+def test_a_last_command_to_the_current_step_gates_the_relay_in_its_dispatch_tick(dt):
+    ctrl = device.initial_state(PLANTFORM, [0, 5, 0, 0, 0, 0, 0, 0, 0, 0])
+    plan = MotionPlan("plantform", (
+        MotionCommand(0, 0, 1, 0.0, 0.2),
+        MotionCommand(1, 5, 5, 1.0, 0.1),
+    ), 1.1)
+    ours = assert_plan_matches_reference(ctrl, plan, dt)
+    last_ack = max(i for i, e in enumerate(ours.event_log) if e.kind == "ack")
+    relay_off = ours.event_log[last_ack + 1]
+    assert relay_off.kind == "relay" and relay_off.t > 1.0
+    alone = MotionPlan("plantform", (MotionCommand(1, 5, 5, 0.0, 0.1),), 0.1)
+    assert_plan_matches_reference(ctrl, alone, dt)
+
+
+@pytest.mark.parametrize("step_rate, dt", [
+    (118.0, 0.005),  # 0.59 steps per tick
+    (40.0, 0.01),  # 0.4 steps per tick
+    (118.0, 1.0),  # 118 steps per tick
+    (400.0, 0.5),  # 200 steps per tick
+])
+def test_motion_budgets_below_one_and_above_a_hundred_steps_per_tick(step_rate, dt):
+    profile = replace(PLANTFORM.calibrated(5), step_rate=step_rate)
+    ctrl = device.initial_state(profile, [3, 0, 10, 7, 0, 1, 9, 2, 5, 10])
+    for nxt in ([0, 10, 4, 7, 0, 6, 0, 2, 10, 1], [10, 0, 0, 3, 8, 6, 1, 9, 0, 0]):
+        plan = transition_plan(device.leaf_positions(ctrl), nxt, profile)
+        ctrl = assert_plan_matches_reference(ctrl, plan, dt)
+
+
+def test_waits_and_motions_longer_than_many_thousand_ticks():
+    # At dt 1e-4 the first second is a wait of 10^4 ticks, and 0 -> 10 on
+    # PLANTFORM moves for ~1.8 s, ~18,000 ticks at 0.0118 steps a tick.
+    dt = 1e-4
+    plan = MotionPlan("plantform", (
+        MotionCommand(3, 0, 10, 1.0, 1.9),
+        MotionCommand(4, 0, 1, 2.9, 0.2),
+    ), 3.1)
+    assert_plan_matches_reference(device.initial_state(PLANTFORM), plan, dt)
+
+
+def test_power_gate_with_commands_pending_then_tick():
+    """Gating the relay off before the first dispatch makes ``tick`` take
+    the relay-on branch when the command comes due."""
+    plan = MotionPlan("plantform", (
+        MotionCommand(2, 0, 6, 0.05, 0.8),
+        MotionCommand(7, 0, 3, 0.9, 0.4),
+    ), 1.3)
+    ours = reference = device.power_gate(device.submit_plan(device.initial_state(PLANTFORM), plan))
+    assert not ours.relay_on and ours.pending
+    relay_on = 0
+    while reference.busy:
+        ours = device.tick(ours, 0.02)
+        reference = reference_tick(reference, 0.02)
+        assert ours == reference
+        if ours.pending:
+            ours = reference = device.power_gate(ours)
+        relay_on = sum(e.kind == "relay" and e.detail == (("on", True),) for e in ours.event_log)
+    assert relay_on >= 2
+    assert_same_run(ours, reference)
