@@ -15,13 +15,22 @@ the append-only event log.  :func:`tick` advances one tick; :func:`run_plan`
 runs all the ticks of a plan internally, on plain per-leaf values, and
 returns one snapshot.  Both share one advance loop, so a plan stepped with
 :func:`tick` ends in the same state and log bytes as :func:`run_plan`.
+
+The loop runs the ticks in windows that end where the next command
+dispatches.  Within a window the leaves do not interact, so each moving
+leaf runs through the whole window on its own.  Every tick still takes its
+own float steps: the clock adds ``dt`` once a tick, and a leaf's budget is
+``step_rate * dt`` plus its carry, once a tick.  Event times and sub-step
+carries are therefore the same as when the ticks run one at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate, repeat
 
 from .encoder import LeafPosition
 from .motion import LEAF_COUNT, DeviceProfile, MotionCommand, MotionPlan
@@ -36,6 +45,9 @@ DEFAULT_TICK = 0.01
 #: about 2,000 at the default tick; a plan past this bound (a near-zero
 #: step rate, a tiny tick) is refused before it starts.
 MAX_TICKS = 10**7
+#: Most ticks one window of the advance loop runs, which bounds its clock
+#: list; longer waits and motions take several windows.
+_WINDOW = 4096
 _EPS = 1e-9
 
 
@@ -229,11 +241,19 @@ def _advance(
 
     With ``duration`` None this is exactly one tick.  Otherwise ticks run
     until nothing is pending or moving and ``duration`` has elapsed; the
-    run fails once the clock passes ``deadline``.  Each tick repeats the
-    same float steps (clock, motion budget, carry), so the snapshot and the
-    log bytes do not depend on how many ticks one call runs.  ``pending``
-    is in dispatch order, as :func:`submit_plan` queues it, so the commands
-    due in a tick are the head of what is left.
+    run fails once a tick would start with the clock past ``deadline``.
+
+    The ticks run in windows: a window starts at a tick and ends before
+    the next tick that dispatches a command, or after :data:`_WINDOW`
+    ticks.  Commands dispatch only in a window's first tick, so inside it
+    the leaves do not interact and each leaf runs its whole window in one
+    loop.  The clock list of a window repeats the per-tick ``clock + dt``
+    additions, and each leaf repeats the per-tick ``budget_per_tick +
+    carry`` and ``budget - steps`` steps, so the snapshot and the log bytes
+    do not depend on how the ticks are grouped into windows or calls.
+    Events go out by tick, then by leaf, with the relay last.  ``pending``
+    is in dispatch order, as :func:`submit_plan` queues it, so the
+    commands due in a tick are the head of what is left.
     """
     step_rate = ctrl.step_rate
     budget_per_tick = step_rate * dt
@@ -256,18 +276,15 @@ def _advance(
     dispatched = 0
     events: list[LogEvent] = []
 
-    while duration is None or dispatched < queued or moving or (
-        clock - start + _EPS < duration
-    ):
-        if clock - start > deadline:
-            raise SimulationError("plan failed to complete in simulated time")
-        new_clock = clock + dt
+    def elapsed(c: float) -> float:
+        return c - start + _EPS
 
-        # Commands beginning inside this tick window dispatch now; the portion
-        # of the tick before their start time is withheld from their motion
-        # budget (a negative carry), so completion stays within one tick of the
-        # planned schedule.
-        due_before = new_clock - _EPS
+    while duration is None or dispatched < queued or moving or elapsed(clock) < duration:
+        # Commands beginning inside this tick dispatch now; the portion of
+        # the tick before their start time is withheld from their motion
+        # budget (a negative carry), so completion stays within one tick of
+        # the planned schedule.
+        due_before = clock + dt - _EPS
         if dispatched < queued and pending[dispatched].dispatch_time < due_before:
             if not relay_on:
                 relay_on = True
@@ -310,39 +327,84 @@ def _advance(
                 )
             moving = [leaf for leaf in range(len(current)) if current[leaf] != target[leaf]]
 
-        reached = False
+        # The window's length is a guess at the ticks up to the next
+        # dispatch, or up to the last arrival and ``duration``; a short
+        # guess only splits the run into more windows.
+        if duration is None:
+            n = 1
+        else:
+            if dispatched < queued:
+                horizon = pending[dispatched].dispatch_time - clock
+            else:
+                farthest = max((abs(target[leaf] - current[leaf]) for leaf in moving), default=0)
+                travel_time = farthest / step_rate if step_rate > 0 else math.inf
+                horizon = max(duration - (clock - start), travel_time)
+            n = int(min(_WINDOW, max(0.0, horizon / dt))) + 2
+        clocks = list(accumulate(repeat(dt, n), initial=clock))
+        if dispatched < queued:
+            n = bisect_right(clocks, pending[dispatched].dispatch_time, 2, n + 1,
+                             key=_due_before) - 1
+
+        marks = []  # (tick, leaf, kind): 0 stop sensor, 1 target reached, 2 relay off
+        quiet = 1  # ticks after which no leaf moves
+        still = []
         for leaf in moving:
-            board_id = leaf >> 1
-            if not powered[board_id]:
-                continue  # unpowered channels hold position exactly
-            budget = budget_per_tick + carry[leaf]
-            step, goal = current[leaf], target[leaf]
-            steps = min(int(budget), abs(goal - step))
-            if steps == 0:
-                carry[leaf] = budget
+            if not powered[leaf >> 1]:
+                still.append(leaf)  # unpowered channels hold position exactly
                 continue
-            step = step + steps if goal > step else step - steps
-            current[leaf] = step
-            rotations[leaf] += steps
-            if step == 0:
+            step, goal, rest = current[leaf], target[leaf], carry[leaf]
+            up = goal > step
+            remaining = travel = abs(goal - step)
+            at_zero = goal if up else -goal  # ``remaining`` when the step count is 0
+            for j in range(n):
+                budget = budget_per_tick + rest
+                steps = int(budget)
+                if steps >= remaining:  # min(int(budget), remaining) is the rest: arrival
+                    if not at_zero:
+                        marks.append((j, leaf, 0))
+                    marks.append((j, leaf, 1))
+                    remaining, rest = 0, 0.0
+                    quiet = max(quiet, j + 1)
+                    break
+                if steps:
+                    remaining -= steps
+                    if remaining == at_zero:
+                        marks.append((j, leaf, 0))
+                    rest = budget - steps
+                else:
+                    rest = budget
+            else:
+                still.append(leaf)
+            moved = travel - remaining
+            current[leaf] = step + moved if up else step - moved
+            rotations[leaf] += moved
+            carry[leaf] = rest
+        moving = still
+
+        if not moving and dispatched == queued:
+            if relay_on:
+                relay_on = False
+                powered = [False] * len(motor)
+                marks.append((quiet - 1, len(current), 2))
+            if duration is not None:
+                n = min(n, bisect_left(clocks, duration, quiet, n + 1, key=elapsed))
+        if clocks[n - 1] - start > deadline:
+            raise SimulationError("plan failed to complete in simulated time")
+
+        for j, leaf, kind in sorted(marks):
+            t = clocks[j + 1]
+            if kind == 2:
+                events.append(LogEvent(t, None, "relay", (("on", False),)))
+                continue
+            board_id = leaf >> 1
+            if kind == 0:
                 event = Frame(board_id, Opcode.EVENT, bytes((leaf & 1, EVENT_STOP)))
                 decode_frame(encode_frame(event))
-                events.append(LogEvent(new_clock, board_id, "stop_sensor", (("leaf", leaf),)))
-            if step == goal:
-                carry[leaf] = 0.0
-                reached = True
-                events.append(LogEvent(new_clock, board_id, "target_reached",
-                                       (("leaf", leaf), ("step", step))))
+                events.append(LogEvent(t, board_id, "stop_sensor", (("leaf", leaf),)))
             else:
-                carry[leaf] = budget - steps
-        if reached:
-            moving = [leaf for leaf in moving if current[leaf] != target[leaf]]
-
-        if relay_on and not moving and dispatched == queued:
-            relay_on = False
-            powered = [False] * len(motor)
-            events.append(LogEvent(new_clock, None, "relay", (("on", False),)))
-        clock = new_clock
+                events.append(LogEvent(t, board_id, "target_reached",
+                                       (("leaf", leaf), ("step", current[leaf]))))
+        clock = clocks[n]
         if duration is None:
             break
 
@@ -362,6 +424,12 @@ def _advance(
         pending=pending[dispatched:],
         event_log=ctrl.event_log + tuple(events),
     )
+
+
+def _due_before(new_clock: float) -> float:
+    """A command dispatches in the tick ending at ``new_clock`` when its
+    dispatch time is below this."""
+    return new_clock - _EPS
 
 
 def events_to_ndjson(events: tuple[LogEvent, ...]) -> str:
