@@ -65,7 +65,7 @@ class DeviceProfile:
                 )
         for name in ("step_rate", "per_rate_frame_time"):
             value = getattr(self, name)
-            if not (_is_number(value) and math.isfinite(value) and value > 0):
+            if not (_is_finite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
     def calibrated(self, seed: int) -> "DeviceProfile":
@@ -78,6 +78,10 @@ class DeviceProfile:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return _is_number(value) and math.isfinite(value)
 
 
 # The physical step rates are calibrated so that full 10-hour and 8-hour
@@ -114,9 +118,18 @@ class MotionPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "commands", tuple(self.commands))
+        if not _is_finite(self.total_duration):
+            raise ValueError(f"total_duration must be a finite number, got {self.total_duration!r}")
         previous = None
         per_leaf_end: dict[int, float] = {}
-        for cmd in self.commands:
+        for index, cmd in enumerate(self.commands):
+            for name in ("start_time", "duration"):
+                if not _is_finite(getattr(cmd, name)):
+                    raise ValueError(f"command {index} (leaf {cmd.leaf}): {name} must be "
+                                     f"a finite number, got {getattr(cmd, name)!r}")
+            if cmd.duration < 0:
+                raise ValueError(f"command {index} (leaf {cmd.leaf}): duration must be "
+                                 f">= 0, got {cmd.duration!r}")
             if previous is not None and cmd.start_time < previous:
                 raise ValueError("commands must be sorted by start_time")
             previous = cmd.start_time

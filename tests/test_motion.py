@@ -8,6 +8,7 @@ from plantchart.motion import (
     PLANTSCREEN,
     DeviceProfile,
     Modality,
+    MotionCommand,
     MotionPlan,
     lowfi_series_timeline,
     lowfi_timeline,
@@ -177,3 +178,26 @@ class TestPlanSerialization:
         b = a.__class__(a.leaf, a.target, 0, a.start_time + a.duration / 2, a.duration)
         with pytest.raises(ValueError):
             MotionPlan("plantform", (a, b), b.start_time + b.duration)
+
+    @pytest.mark.parametrize("command, message", [
+        (MotionCommand(0, 0, 5, float("nan"), 1.0), "start_time must be a finite number, got nan"),
+        (MotionCommand(0, 0, 5, float("inf"), 1.0), "start_time must be a finite number, got inf"),
+        (MotionCommand(0, 0, 5, 0.0, float("nan")), "duration must be a finite number, got nan"),
+        (MotionCommand(0, 0, 5, 0.0, float("inf")), "duration must be a finite number, got inf"),
+        (MotionCommand(0, 0, 5, 0.0, -1.0), "duration must be >= 0, got -1.0"),
+    ])
+    def test_plan_validation_rejects_bad_command_times(self, command, message):
+        first = MotionCommand(3, 0, 2, 0.0, 0.5)
+        with pytest.raises(ValueError, match=f"^command 1 \\(leaf 0\\): {message}$"):
+            MotionPlan("plantform", (first, command), 1.0)
+
+    @pytest.mark.parametrize("total", [float("nan"), float("inf"), -float("inf")])
+    def test_plan_validation_rejects_a_total_duration_that_is_not_finite(self, total):
+        with pytest.raises(ValueError, match="^total_duration must be a finite number"):
+            MotionPlan("plantform", (MotionCommand(0, 0, 5, 0.0, 1.0),), total)
+
+    def test_plan_json_with_nan_start_time_is_rejected(self):
+        text = plan_to_json(plan_physical([0, 3], [0, 0], PLANTFORM)).replace(
+            '"start_time": 0.0', '"start_time": NaN')
+        with pytest.raises(ValueError, match="command 0 \\(leaf 1\\): start_time"):
+            plan_from_json(text)
