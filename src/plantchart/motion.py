@@ -48,6 +48,13 @@ class DeviceProfile:
     reset_before_next_variation: bool = False
 
     def __post_init__(self):
+        if not (isinstance(self.name, str) and self.name):
+            raise ValueError(f"name must be a non-empty string, got {self.name!r}")
+        if not isinstance(self.reset_before_next_variation, bool):
+            raise ValueError(
+                "reset_before_next_variation must be true or false, "
+                f"got {self.reset_before_next_variation!r}"
+            )
         try:
             object.__setattr__(self, "steps_full_range", tuple(self.steps_full_range))
         except TypeError:
@@ -334,7 +341,7 @@ def profile_from_json(text: str) -> DeviceProfile:
     if not isinstance(payload, dict):
         raise ValueError("expected a JSON object")
     return DeviceProfile(
-        name=payload["name"],
+        name=payload.get("name"),
         modality=Modality(payload.get("modality", "physical")),
         steps_full_range=payload.get("steps_full_range", [STEPS_DEFAULT] * LEAF_COUNT),
         step_rate=payload.get("step_rate", 120.0),

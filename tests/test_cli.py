@@ -221,6 +221,26 @@ class TestBadInputs:
         assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, profile, message", [
+        ("plan", {"step_rate": 100}, "name must be a non-empty string, got None"),
+        ("plan", {"name": ["a"]}, "name must be a non-empty string, got ['a']"),
+        ("plan", {"name": ""}, "name must be a non-empty string, got ''"),
+        ("serve", {"name": "s", "reset_before_next_variation": "false"},
+         "reset_before_next_variation must be true or false, got 'false'"),
+    ])
+    def test_bad_profile_field_exits_2_naming_it(self, run, tmp_path, command, profile, message):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(profile))
+        if command == "plan":
+            argv = ["plan", "--fixture", "plantform-monday"]
+        else:
+            argv = ["serve", "--listen", str(tmp_path / "feed.ndjson"),
+                    "--poll-timeout", "0", "--max-idle-polls", "1"]
+        code, out, err = run(*argv, "--profile", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: invalid profile {path}: {message}\n"
+
     def test_frames_of_a_two_hour_variation_exit_2(self, run, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("hour,rate\n8,1.0\n9,0.0\n10,1.0\n11,0.0\n")  # first variation 8..9
