@@ -284,7 +284,7 @@ def _advance(
         # the tick before their start time is withheld from their motion
         # budget (a negative carry), so completion stays within one tick of
         # the planned schedule.
-        due_before = clock + dt - _EPS
+        due_before = _due_before(clock + dt)
         if dispatched < queued and pending[dispatched].dispatch_time < due_before:
             if not relay_on:
                 relay_on = True
