@@ -186,7 +186,7 @@ def _resolve_profile(name: str) -> DeviceProfile:
         if path.is_file():
             try:
                 return profile_from_json(path.read_text(encoding="utf-8"))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except ValueError as exc:  # json.JSONDecodeError is one
                 raise CliError(f"invalid profile {path}: {exc}") from None
     raise CliError(
         f"unknown profile {name!r}; built-ins: {', '.join(sorted(BUILTIN_PROFILES))}"
