@@ -28,7 +28,7 @@ from plantchart.device import (
     position_to_steps,
     submit_plan,
 )
-from plantchart.motion import FrameTimeline, MotionPlan
+from plantchart.motion import FrameTimeline, Modality, MotionCommand, MotionPlan
 from plantchart.protocol import Frame, Opcode, decode_frame, encode_frame
 from plantchart.render import DEFAULT_DIMENSIONS, layout_extents
 from plantchart.series import FIRST_HOUR
@@ -244,6 +244,31 @@ def reference_run_plan(
             raise SimulationError("plan failed to complete in simulated time")
         ctrl = reference_tick(ctrl, dt)
     return ctrl
+
+
+def reference_plan(targets, current, profile, leaf_indices=None) -> MotionPlan:
+    """The plan :func:`plantchart.motion.plan_for_profile` must return, as
+    two planners, one per modality.  A physical leaf moves for a time
+    proportional to its travel and an unchanged one is skipped; a graphical
+    hour always takes ``per_rate_frame_time``.  The hours run one after
+    another.  Inputs are assumed valid."""
+    leaves = list(range(len(targets)) if leaf_indices is None else leaf_indices)
+    commands = []
+    clock = 0.0
+    if profile.modality is Modality.PHYSICAL:
+        for leaf, a, b in zip(leaves, current, targets):
+            delta = abs(b - a)
+            if delta == 0:
+                continue
+            duration = delta / 10 * profile.steps_full_range[leaf] / profile.step_rate
+            commands.append(MotionCommand(leaf, a, b, clock, duration))
+            clock += duration
+    else:
+        for leaf, a, b in zip(leaves, current, targets):
+            commands.append(MotionCommand(leaf, a, b, clock, profile.per_rate_frame_time))
+            clock += profile.per_rate_frame_time
+    total = max((c.start_time + c.duration for c in commands), default=0.0)
+    return MotionPlan(profile.name, tuple(commands), total)
 
 
 def reference_render_frames(

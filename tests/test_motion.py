@@ -1,17 +1,22 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import reference_plan
 from strategies import position_vectors
 from plantchart.motion import (
     CAIRNFORM,
+    LEAF_COUNT,
     PLANTFORM,
     PLANTSCREEN,
+    STEPS_MAX,
+    STEPS_MIN,
     DeviceProfile,
     Modality,
     MotionCommand,
     MotionPlan,
     lowfi_series_timeline,
     lowfi_timeline,
+    plan_for_profile,
     plan_from_json,
     plan_graphical,
     plan_physical,
@@ -88,6 +93,32 @@ class TestPlanGraphical:
         idle = plan_graphical(zeros, zeros, PLANTSCREEN)
         assert moving.total_duration == idle.total_duration
         assert moving.total_duration == pytest.approx(2.0 * len(targets))
+
+
+@st.composite
+def planner_inputs(draw):
+    """A profile of either modality with calibrated step counts and float
+    rates, targets and current positions in 0..10, and optionally
+    hour-aligned leaf indices."""
+    profile = DeviceProfile(
+        "drawn",
+        draw(st.sampled_from(Modality)),
+        steps_full_range=draw(st.lists(st.integers(STEPS_MIN, STEPS_MAX),
+                                       min_size=LEAF_COUNT, max_size=LEAF_COUNT)),
+        step_rate=draw(st.floats(0.01, 1e4)),
+        per_rate_frame_time=draw(st.floats(0.001, 100.0)),
+    )
+    n = draw(st.integers(0, LEAF_COUNT))
+    positions = st.lists(st.integers(0, 10), min_size=n, max_size=n)
+    targets, current = draw(positions), draw(positions)
+    leaves = draw(st.none() | st.lists(st.integers(0, LEAF_COUNT - 1),
+                                       min_size=n, max_size=n, unique=True))
+    return targets, current, profile, leaves
+
+
+@given(planner_inputs())
+def test_plan_for_profile_matches_the_reference_planners(inputs):
+    assert plan_for_profile(*inputs) == reference_plan(*inputs)
 
 
 class TestTransitionPlan:
