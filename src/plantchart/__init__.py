@@ -25,9 +25,8 @@ from .motion import (
     MotionPlan,
     lowfi_series_timeline,
     lowfi_timeline,
+    plan_for_profile,
     plan_from_json,
-    plan_graphical,
-    plan_physical,
     plan_to_json,
     transition_plan,
 )

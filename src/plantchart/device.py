@@ -3,10 +3,11 @@
 The simulated hardware is a coordinator driving a ring of six boards over
 the framed serial protocol: boards 0..4 each move two leaf channels
 (stepper + endless screw + pulling cable), board 5 holds the LED cluster.
-Messages travel around the ring and loop back to the coordinator.  A relay
-gates power to the motor boards; the coordinator and the LEDs stay powered.
-Because the screws retain cable tension, unpowered channels hold their
-position exactly.
+The event log records each dispatched command (``set_target``, ``ack``)
+and each stop-sensor hit; the frames these take on the ring are specified
+in :mod:`plantchart.protocol`.  A relay gates power to the motor boards;
+the coordinator and the LEDs stay powered.  Because the screws retain
+cable tension, unpowered channels hold their position exactly.
 
 The simulator is a single state machine advanced by explicit ticks.  Every
 operation returns a fresh :class:`ControllerState`; one advancing context
@@ -34,7 +35,6 @@ from itertools import accumulate, repeat
 
 from .encoder import LeafPosition
 from .motion import LEAF_COUNT, DeviceProfile, MotionCommand, MotionPlan
-from .protocol import Frame, Opcode, decode_frame, encode_frame
 
 MOTOR_BOARDS = 5
 LED_BOARD = 5
@@ -79,7 +79,6 @@ class BoardState:
     board_id: int
     channels: tuple[LeafChannel, ...]
     powered: bool
-    led_color: str | None = None  # LED cluster boards only; held constant
 
 
 @dataclass(frozen=True)
@@ -147,7 +146,7 @@ def initial_state(
                 )
             )
         boards.append(BoardState(board_id, tuple(channels), powered=False))
-    boards.append(BoardState(LED_BOARD, (), powered=True, led_color="green"))
+    boards.append(BoardState(LED_BOARD, (), powered=True))
     return ControllerState(
         boards=tuple(boards), relay_on=False, clock=0.0, step_rate=profile.step_rate
     )
@@ -166,7 +165,8 @@ def leaf_positions(ctrl: ControllerState) -> list[LeafPosition]:
 
 def submit_plan(ctrl: ControllerState, plan: MotionPlan) -> ControllerState:
     """Queue a plan for execution: the relay is energized and each command
-    will be dispatched as a SET_TARGET frame when its start time arrives."""
+    will be dispatched when its start time arrives.  The relay stays on
+    until nothing is pending or moving."""
     if ctrl.busy:
         raise SimulationError("a plan is already executing")
     for cmd in plan.commands:
@@ -177,14 +177,11 @@ def submit_plan(ctrl: ControllerState, plan: MotionPlan) -> ControllerState:
     pending = tuple(
         PendingCommand(ctrl.clock + cmd.start_time, cmd) for cmd in plan.commands
     )
-    events = ctrl.event_log
-    relay_on = ctrl.relay_on
-    boards = ctrl.boards
-    if not relay_on:
-        relay_on = True
-        boards = _set_motor_power(boards, True)
-        events = events + (LogEvent(ctrl.clock, None, "relay", (("on", True),)),)
-    return replace(ctrl, boards=boards, relay_on=relay_on, pending=pending, event_log=events)
+    if ctrl.relay_on:
+        return replace(ctrl, pending=pending)
+    relay = LogEvent(ctrl.clock, None, "relay", (("on", True),))
+    return replace(ctrl, boards=_set_motor_power(ctrl.boards, True), relay_on=True,
+                   pending=pending, event_log=ctrl.event_log + (relay,))
 
 
 def check_dt(dt: float) -> float:
@@ -199,20 +196,6 @@ def tick(ctrl: ControllerState, dt: float) -> ControllerState:
     powered channels toward their targets, emit sensor events, and gate the
     relay off once everything is idle."""
     return _advance(ctrl, check_dt(dt))
-
-
-def power_gate(ctrl: ControllerState) -> ControllerState:
-    """De-energize the relay (and the motor boards) when nothing is moving;
-    the coordinator and the LED board stay powered."""
-    moving = any(ch.moving for b in ctrl.boards[:MOTOR_BOARDS] for ch in b.channels)
-    if moving or not ctrl.relay_on:
-        return ctrl
-    return replace(
-        ctrl,
-        relay_on=False,
-        boards=_set_motor_power(ctrl.boards, False),
-        event_log=ctrl.event_log + (LogEvent(ctrl.clock, None, "relay", (("on", False),)),),
-    )
 
 
 def run_plan(
@@ -286,11 +269,6 @@ def _advance(
         # the planned schedule.
         due_before = _due_before(clock + dt)
         if dispatched < queued and pending[dispatched].dispatch_time < due_before:
-            if not relay_on:
-                relay_on = True
-                powered = [True] * len(motor)
-                events.append(LogEvent(pending[dispatched].dispatch_time, None,
-                                       "relay", (("on", True),)))
             while dispatched < queued and pending[dispatched].dispatch_time < due_before:
                 item = pending[dispatched]
                 dispatched += 1
@@ -298,12 +276,6 @@ def _advance(
                 board_id, channel_id = divmod(leaf, 2)
                 steps = position_to_steps(item.command.target,
                                           channels[leaf].steps_full_range)
-                request = Frame(
-                    board_id,
-                    Opcode.SET_TARGET,
-                    bytes((channel_id, steps >> 8, steps & 0xFF)),
-                )
-                received = decode_frame(encode_frame(request))  # around the ring and back
                 events.append(
                     LogEvent(
                         item.dispatch_time,
@@ -320,10 +292,8 @@ def _advance(
                 withheld = max(0.0, item.dispatch_time - clock)
                 target[leaf] = steps
                 carry[leaf] = -withheld * step_rate
-                ack = decode_frame(encode_frame(Frame(received.board_id, Opcode.ACK,
-                                                      bytes((channel_id,)))))
                 events.append(
-                    LogEvent(item.dispatch_time, ack.board_id, "ack", (("leaf", leaf),))
+                    LogEvent(item.dispatch_time, board_id, "ack", (("leaf", leaf),))
                 )
             moving = [leaf for leaf in range(len(current)) if current[leaf] != target[leaf]]
 
@@ -398,8 +368,6 @@ def _advance(
                 continue
             board_id = leaf >> 1
             if kind == 0:
-                event = Frame(board_id, Opcode.EVENT, bytes((leaf & 1, EVENT_STOP)))
-                decode_frame(encode_frame(event))
                 events.append(LogEvent(t, board_id, "stop_sensor", (("leaf", leaf),)))
             else:
                 events.append(LogEvent(t, board_id, "target_reached",

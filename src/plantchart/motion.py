@@ -1,11 +1,11 @@
 """Timed actuation plans for physical devices and graphical animations.
 
-Two timing regimes coexist.  Physical devices move each shape for a time
-proportional to the travelled distance (smaller changes animate faster):
-a leaf covering ``d`` of its 10 positions takes ``d/10 * steps / step_rate``
-seconds.  Graphical devices animate every hour for a constant time
-(``per_rate_frame_time``) regardless of the travelled distance.  In both
-regimes the hours actuate strictly one after another, in hour order.
+One sequential planner serves every device: the hours actuate strictly one
+after another, in hour order, and only an hour's duration depends on the
+modality.  Physical devices move each shape for a time proportional to the
+travelled distance: a leaf covering ``d`` of its 10 positions takes
+``d/10 * steps / step_rate`` seconds, and an unchanged leaf is skipped.
+Graphical devices animate every hour for ``per_rate_frame_time`` seconds.
 
 Profiles also fix the reset policy used between two displayed variations:
 screen devices wipe everything back to position 0 first, shape-changing
@@ -24,8 +24,11 @@ import random
 from dataclasses import dataclass, replace
 
 from .encoder import POSITION_MAX, POSITION_MIN, LeafPosition
+from .series import FIRST_HOUR
 
 LEAF_COUNT = 10
+#: The last hour a device leaf shows; a later hour maps past the last leaf.
+MAX_DEVICE_HOUR = FIRST_HOUR + LEAF_COUNT - 1
 STEPS_MIN = 185
 STEPS_MAX = 230
 STEPS_DEFAULT = 216
@@ -83,6 +86,12 @@ class DeviceProfile:
         return replace(self, steps_full_range=steps)
 
 
+def leaf_for_hour(hour: int) -> int:
+    """The leaf showing ``hour``: hour 8 drives leaf 0, one leaf per hour.
+    Hours past :data:`MAX_DEVICE_HOUR` map past the device's last leaf."""
+    return hour - FIRST_HOUR
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -130,6 +139,11 @@ class MotionPlan:
         previous = None
         per_leaf_end: dict[int, float] = {}
         for index, cmd in enumerate(self.commands):
+            for name in ("source", "target"):
+                value = getattr(cmd, name)
+                if not (_is_number(value) and POSITION_MIN <= value <= POSITION_MAX):
+                    raise ValueError(f"command {index} (leaf {cmd.leaf}): {name} must be a "
+                                     f"number in [{POSITION_MIN}, {POSITION_MAX}], got {value!r}")
             for name in ("start_time", "duration"):
                 if not _is_finite(getattr(cmd, name)):
                     raise ValueError(f"command {index} (leaf {cmd.leaf}): {name} must be "
@@ -176,55 +190,29 @@ def _check_vectors(targets, current, leaf_indices) -> list[int]:
     return leaf_indices
 
 
-def plan_physical(
-    targets: list[LeafPosition],
-    current: list[LeafPosition],
-    profile: DeviceProfile,
-    leaf_indices: list[int] | None = None,
-) -> MotionPlan:
-    """Rate-proportional sequential plan: each leaf moves for a time
-    proportional to its position change; unchanged leaves are skipped."""
-    leaves = _check_vectors(targets, current, leaf_indices)
-    commands = []
-    clock = 0.0
-    for leaf, a, b in zip(leaves, current, targets):
-        delta = abs(b - a)
-        if delta == 0:
-            continue
-        duration = delta / 10 * profile.steps_full_range[leaf] / profile.step_rate
-        commands.append(MotionCommand(leaf, a, b, clock, duration))
-        clock += duration
-    total = max((c.start_time + c.duration for c in commands), default=0.0)
-    return MotionPlan(profile.name, tuple(commands), total)
-
-
-def plan_graphical(
-    targets: list[LeafPosition],
-    current: list[LeafPosition],
-    profile: DeviceProfile,
-    leaf_indices: list[int] | None = None,
-) -> MotionPlan:
-    """Constant-time sequential plan: every displayed hour takes
-    ``per_rate_frame_time`` seconds regardless of the position change."""
-    leaves = _check_vectors(targets, current, leaf_indices)
-    commands = []
-    clock = 0.0
-    for leaf, a, b in zip(leaves, current, targets):
-        commands.append(MotionCommand(leaf, a, b, clock, profile.per_rate_frame_time))
-        clock += profile.per_rate_frame_time
-    total = max((c.start_time + c.duration for c in commands), default=0.0)
-    return MotionPlan(profile.name, tuple(commands), total)
-
-
 def plan_for_profile(
     targets: list[LeafPosition],
     current: list[LeafPosition],
     profile: DeviceProfile,
     leaf_indices: list[int] | None = None,
 ) -> MotionPlan:
-    if profile.modality is Modality.PHYSICAL:
-        return plan_physical(targets, current, profile, leaf_indices)
-    return plan_graphical(targets, current, profile, leaf_indices)
+    """The sequential plan from ``current`` to ``targets``, each hour timed
+    by the rule of the profile's modality (see the module docstring)."""
+    leaves = _check_vectors(targets, current, leaf_indices)
+    physical = profile.modality is Modality.PHYSICAL
+    commands = []
+    clock = 0.0
+    for leaf, a, b in zip(leaves, current, targets):
+        if not physical:
+            duration = profile.per_rate_frame_time
+        elif a == b:
+            continue
+        else:
+            duration = abs(b - a) / 10 * profile.steps_full_range[leaf] / profile.step_rate
+        commands.append(MotionCommand(leaf, a, b, clock, duration))
+        clock += duration
+    # Durations are >= 0, so the last command ends latest: at ``clock``.
+    return MotionPlan(profile.name, tuple(commands), clock)
 
 
 def transition_plan(
@@ -282,12 +270,7 @@ def lowfi_timeline(
     still getting its own frame."""
     if extension_delta < 0:
         raise ValueError("extension_delta must be non-negative")
-    count = math.ceil(extension_delta / tick_step)
-    frames = tuple(
-        TimelineFrame((k + 1) * tick, (min(extension_delta, (k + 1) * tick_step),))
-        for k in range(count)
-    )
-    return FrameTimeline(frames, tick)
+    return lowfi_series_timeline([extension_delta], tick_step, tick)
 
 
 def lowfi_series_timeline(

@@ -12,7 +12,7 @@ It stays decoupled from the simulator: payloads are polled one at a time
 and the controller state only advances in the service loop.
 
 :func:`plan_variation` is the one forecast-to-plan step, shared with the
-CLI.  Hours map to device leaves in one place, under :func:`device_targets`.
+CLI.  Hours map to device leaves by :func:`.motion.leaf_for_hour` alone.
 """
 
 from __future__ import annotations
@@ -22,9 +22,16 @@ from dataclasses import dataclass, field
 
 from . import device
 from .encoder import EncodingMode, encode_series
-from .motion import DeviceProfile, MotionPlan, plan_for_profile, transition_plan
+from .motion import (
+    LEAF_COUNT,
+    MAX_DEVICE_HOUR,
+    DeviceProfile,
+    MotionPlan,
+    leaf_for_hour,
+    plan_for_profile,
+    transition_plan,
+)
 from .series import (
-    FIRST_HOUR,
     ForecastDocumentError,
     ForecastSeries,
     Variation,
@@ -32,8 +39,6 @@ from .series import (
     segment_variations,
 )
 
-DEVICE_LEAVES = 10
-MAX_DEVICE_HOUR = FIRST_HOUR + DEVICE_LEAVES - 1
 POLL_QUANTUM = 0.02  # seconds between two reads of an idle feed
 
 
@@ -79,16 +84,15 @@ class FileFeed:
 def device_targets(series: ForecastSeries, positions: list[int]) -> list[int]:
     """Spread per-hour positions over the ten device leaves; leaves with no
     hour in ``series`` stay at 0."""
-    targets = [0] * DEVICE_LEAVES
+    targets = [0] * LEAF_COUNT
     for leaf, position in _device_leaves(zip(series.hours, positions)):
         targets[leaf] = position
     return targets
 
 
 def _device_leaves(shown) -> list[tuple[int, int]]:
-    """``(leaf, position)`` for each ``(hour, position)`` the device shows:
-    hour 8 drives leaf 0, one leaf per hour up to 17:59.  A later hour has
-    no leaf, so it must encode 0."""
+    """``(leaf, position)`` for each ``(hour, position)`` the device shows.
+    An hour past :data:`MAX_DEVICE_HOUR` has no leaf, so it must encode 0."""
     leaves = []
     for hour, position in shown:
         if hour > MAX_DEVICE_HOUR:
@@ -98,7 +102,7 @@ def _device_leaves(shown) -> list[tuple[int, int]]:
                     f"has leaves only up to hour {MAX_DEVICE_HOUR}"
                 )
             continue
-        leaves.append((hour - FIRST_HOUR, position))
+        leaves.append((leaf_for_hour(hour), position))
     return leaves
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .motion import FrameTimeline, MotionPlan
+from .motion import FrameTimeline, MotionPlan, leaf_for_hour
 from .render import (
     DEFAULT_DIMENSIONS,
     Anchoring,
@@ -37,7 +37,6 @@ from .render import (
     layout_extents,
     place_anchor,
 )
-from .series import FIRST_HOUR
 
 GLYPH_FILL = "#3f7d2e"
 GLYPH_STROKE = "#2c5a20"
@@ -46,6 +45,9 @@ LABEL_FILL = "#3d3325"
 
 DEFAULT_CANVAS = (480, 640)
 MARGIN_RATIO = 0.06
+#: Most frames one plan may be sampled into.  A 10-hour PLANTSCREEN wipe
+#: plus show lasts 40 s, which at 60 fps is 2,400 frames: it still renders.
+MAX_FRAMES = 3000
 
 
 def render_svg(scene: ChartScene, canvas: tuple[int, int] = DEFAULT_CANVAS) -> str:
@@ -125,8 +127,8 @@ def render_frames(
 
     A frame timeline renders its own frames (point extensions normalized by
     ``full_extension``, default the timeline maximum; single-channel frames
-    broadcast to every hour).  A motion plan is sampled at ``fps``; plan
-    leaf indices are hour-aligned (leaf 0 is the 8-o'clock leaf).
+    broadcast to every hour).  A motion plan is sampled at ``fps`` into at
+    most :data:`MAX_FRAMES` frames; hours show plan leaves by ``leaf_for_hour``.
     """
     if isinstance(source, FrameTimeline):
         extent_rows = _timeline_extents(source, len(hours), full_extension)
@@ -179,9 +181,11 @@ def _timeline_extents(timeline, n_hours, full_extension):
 def _plan_extents(plan, hours, fps, initial_positions):
     if not (math.isfinite(fps) and fps > 0):
         raise ValueError(f"fps must be a finite number > 0, got {fps}")
+    if not plan.total_duration * fps <= MAX_FRAMES:  # an infinite count too
+        raise ValueError(f"{plan.total_duration} s at {fps} fps is more than {MAX_FRAMES} frames")
     if initial_positions is None:
         initial_positions = [0] * len(hours)
-    leaves = [h - FIRST_HOUR for h in hours]
+    leaves = [leaf_for_hour(h) for h in hours]
     per_leaf = {leaf: [] for leaf in leaves}
     for cmd in plan.commands:
         if cmd.leaf in per_leaf:

@@ -22,8 +22,6 @@ from plantchart.motion import (
     PLANTSCREEN,
     lowfi_timeline,
     plan_for_profile,
-    plan_graphical,
-    plan_physical,
 )
 from plantchart.protocol import ChecksumError, Frame, Opcode, decode_frame, encode_frame
 from plantchart.render import Anchoring, Decoration, glyph_extent_measure, layout

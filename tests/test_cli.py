@@ -1,8 +1,15 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import plantchart
 from plantchart.cli import main
+from plantchart.svg import MAX_FRAMES
 
 
 @pytest.fixture
@@ -240,6 +247,23 @@ class TestBadInputs:
         assert code == 2
         assert out == ""
         assert err == f"error: invalid profile {path}: {message}\n"
+
+    @pytest.mark.parametrize("fps", ["1e308", "1e9"])
+    def test_too_many_frames_exit_2_before_any_is_drawn(self, tmp_path, fps):
+        """Runs the CLI in a child process limited to 20 s and 1 GiB, so
+        that an unbounded frame count fails the test instead of hanging it."""
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(plantchart.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "plantchart.cli", "render", "--fixture", "plantform-monday",
+             "--frames", str(tmp_path / "frames"), "--fps", fps],
+            capture_output=True, text=True, timeout=20, env=env, preexec_fn=limit_memory)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and f"more than {MAX_FRAMES} frames" in proc.stderr
+        assert not (tmp_path / "frames").exists()
 
     def test_frames_of_a_two_hour_variation_exit_2(self, run, tmp_path):
         path = tmp_path / "short.csv"

@@ -10,7 +10,6 @@ from plantchart.device import (
     events_to_ndjson,
     initial_state,
     leaf_positions,
-    power_gate,
     run_plan,
     submit_plan,
     tick,
@@ -22,7 +21,6 @@ from plantchart.motion import (
     DeviceProfile,
     Modality,
     plan_for_profile,
-    plan_physical,
 )
 
 BENCH = DeviceProfile("bench", Modality.PHYSICAL, step_rate=120.0)
@@ -40,7 +38,7 @@ def moving_channels(ctrl):
 class TestTick:
     def test_full_unfurl_in_one_large_tick(self):
         ctrl = initial_state(BENCH)
-        plan = plan_physical([10], [0], BENCH)
+        plan = plan_for_profile([10], [0], BENCH)
         ctrl = submit_plan(ctrl, plan)
         ctrl = tick(ctrl, 1.8)
         channel = ctrl.boards[0].channels[0]
@@ -58,7 +56,7 @@ class TestTick:
         positions = [0] * 10
         positions[0] = 5  # 108 steps out
         ctrl = initial_state(BENCH, positions)
-        plan = plan_physical([0] + [0] * 9, positions, BENCH)
+        plan = plan_for_profile([0] + [0] * 9, positions, BENCH)
         ctrl = run_plan(ctrl, plan, dt=0.01)
         stops = [e for e in ctrl.event_log if e.kind == "stop_sensor"]
         assert len(stops) == 1
@@ -74,17 +72,17 @@ class TestTick:
         with pytest.raises(ValueError):
             tick(initial_state(BENCH), dt)
         with pytest.raises(ValueError):
-            run_plan(initial_state(BENCH), plan_physical([10], [0], BENCH), dt)
+            run_plan(initial_state(BENCH), plan_for_profile([10], [0], BENCH), dt)
 
 
 class TestBoundedWork:
     def test_near_zero_step_rate_is_refused_before_the_first_tick(self):
         slow = DeviceProfile("slow", Modality.PHYSICAL, step_rate=1e-300)
         with pytest.raises(SimulationError, match="ticks"):
-            run_plan(initial_state(slow), plan_physical([10], [0], slow))
+            run_plan(initial_state(slow), plan_for_profile([10], [0], slow))
 
     def test_tick_too_small_for_the_plan_is_refused(self):
-        plan = plan_physical([10], [0], BENCH)
+        plan = plan_for_profile([10], [0], BENCH)
         assert (plan.total_duration + 4e-7) / 1e-7 > device.MAX_TICKS
         with pytest.raises(SimulationError, match="ticks"):
             run_plan(initial_state(BENCH), plan, dt=1e-7)
@@ -92,23 +90,21 @@ class TestBoundedWork:
 
 class TestPowerGating:
     def test_motor_boards_unpowered_after_targets_reached(self):
-        ctrl = run_plan(initial_state(BENCH), plan_physical([5] * 10, [0] * 10, BENCH))
+        ctrl = run_plan(initial_state(BENCH), plan_for_profile([5] * 10, [0] * 10, BENCH))
         assert not ctrl.relay_on
         assert all(not b.powered for b in ctrl.boards[:5])
         assert ctrl.boards[5].powered  # LED board stays on
 
     def test_relay_stays_on_mid_motion(self):
         ctrl = initial_state(BENCH)
-        ctrl = submit_plan(ctrl, plan_physical([10], [0], BENCH))
+        ctrl = submit_plan(ctrl, plan_for_profile([10], [0], BENCH))
         ctrl = tick(ctrl, 0.5)
         assert ctrl.relay_on
-        gated = power_gate(ctrl)
-        assert gated.relay_on  # still moving, gate must not cut power
 
     def test_relay_reenergizes_before_the_first_step(self):
-        ctrl = run_plan(initial_state(BENCH), plan_physical([4], [0], BENCH))
+        ctrl = run_plan(initial_state(BENCH), plan_for_profile([4], [0], BENCH))
         assert not ctrl.relay_on
-        ctrl = run_plan(ctrl, plan_physical([8], [4], BENCH))
+        ctrl = run_plan(ctrl, plan_for_profile([8], [4], BENCH))
         relay_events = [e for e in ctrl.event_log if e.kind == "relay"]
         assert [dict(e.detail)["on"] for e in relay_events] == [True, False, True, False]
         second_on = relay_events[2]
@@ -119,7 +115,7 @@ class TestPowerGating:
 
     def test_no_channel_moves_while_unpowered(self):
         ctrl = initial_state(BENCH)
-        ctrl = submit_plan(ctrl, plan_physical([10, 7], [0, 0], BENCH))
+        ctrl = submit_plan(ctrl, plan_for_profile([10, 7], [0, 0], BENCH))
         previous = ctrl
         for _ in range(600):
             ctrl = tick(ctrl, 0.01)
@@ -130,42 +126,38 @@ class TestPowerGating:
             previous = ctrl
         assert leaf_positions(ctrl)[:2] == [10, 7]
 
-    def test_idle_gate_is_a_no_op(self):
-        ctrl = initial_state(BENCH)
-        assert power_gate(ctrl) is ctrl
-
 
 class TestSubmitPlan:
     def test_empty_plan_touches_nothing(self):
         ctrl = initial_state(BENCH)
-        after = submit_plan(ctrl, plan_physical([0], [0], BENCH))
+        after = submit_plan(ctrl, plan_for_profile([0], [0], BENCH))
         assert after.event_log == ()
         assert not after.relay_on
 
     def test_one_command_plan_logs_one_set_target_and_one_ack(self):
-        ctrl = run_plan(initial_state(BENCH), plan_physical([10], [0], BENCH))
+        ctrl = run_plan(initial_state(BENCH), plan_for_profile([10], [0], BENCH))
         kinds = [e.kind for e in ctrl.event_log]
         assert kinds.count("set_target") == 1
         assert kinds.count("ack") == 1
 
     def test_frames_follow_plan_order(self):
-        plan = plan_physical([3, 0, 8, 0, 5, 0, 0, 0, 0, 1], [0] * 10, BENCH)
+        plan = plan_for_profile([3, 0, 8, 0, 5, 0, 0, 0, 0, 1], [0] * 10, BENCH)
         ctrl = run_plan(initial_state(BENCH), plan)
         logged = [dict(e.detail)["leaf"] for e in ctrl.event_log if e.kind == "set_target"]
         assert logged == [c.leaf for c in plan.commands]
 
     def test_unknown_leaf_rejected(self):
-        plan = plan_physical([5], [0], BENCH, leaf_indices=[9])
+        plan = plan_for_profile([5], [0], BENCH, leaf_indices=[9])
         bad = plan.commands[0].__class__(12, 0, 5, 0.0, 1.0)
         bad_plan = plan.__class__(plan.profile, (bad,), 1.0)
         with pytest.raises(SimulationError):
             submit_plan(initial_state(BENCH), bad_plan)
 
     def test_busy_device_rejects_a_second_plan(self):
-        ctrl = submit_plan(initial_state(BENCH), plan_physical([10], [0], BENCH))
+        ctrl = submit_plan(initial_state(BENCH), plan_for_profile([10], [0], BENCH))
         ctrl = tick(ctrl, 0.1)
         with pytest.raises(SimulationError):
-            submit_plan(ctrl, plan_physical([5], [0], BENCH))
+            submit_plan(ctrl, plan_for_profile([5], [0], BENCH))
 
 
 class TestEndStateAgreement:
@@ -180,7 +172,7 @@ class TestEndStateAgreement:
         assert leaf_positions(ctrl) == targets
 
     def test_elapsed_time_matches_total_duration(self):
-        plan = plan_physical([10] * 10, [0] * 10, PLANTFORM)
+        plan = plan_for_profile([10] * 10, [0] * 10, PLANTFORM)
         ctrl = run_plan(initial_state(PLANTFORM), plan, dt=0.01)
         assert plan.total_duration - 1e-9 <= ctrl.clock <= plan.total_duration + 0.01 + 1e-9
 
@@ -193,9 +185,9 @@ class TestEndStateAgreement:
 class TestConservation:
     def test_rotation_counts_accumulate_all_travel(self):
         ctrl = initial_state(BENCH)
-        first = plan_physical([10, 4] + [0] * 8, [0] * 10, BENCH)
+        first = plan_for_profile([10, 4] + [0] * 8, [0] * 10, BENCH)
         ctrl = run_plan(ctrl, first, dt=0.01)
-        second = plan_physical([2, 8] + [0] * 8, [10, 4] + [0] * 8, BENCH)
+        second = plan_for_profile([2, 8] + [0] * 8, [10, 4] + [0] * 8, BENCH)
         ctrl = run_plan(ctrl, second, dt=0.01)
         ch0 = ctrl.boards[0].channels[0]
         ch1 = ctrl.boards[0].channels[1]
@@ -216,14 +208,14 @@ class TestDeterminism:
             profile = PLANTFORM.calibrated(seed)
             rng = random.Random(seed)
             targets = [rng.randint(0, 10) for _ in range(10)]
-            ctrl = run_plan(initial_state(profile), plan_physical(targets, [0] * 10, profile), dt=0.01)
+            ctrl = run_plan(initial_state(profile), plan_for_profile(targets, [0] * 10, profile), dt=0.01)
             return events_to_ndjson(ctrl.event_log)
 
         assert run(1234).encode() == run(1234).encode()
         assert run(1234) != run(99)
 
     def test_ndjson_records_have_the_wire_shape(self):
-        ctrl = run_plan(initial_state(BENCH), plan_physical([3], [0], BENCH))
+        ctrl = run_plan(initial_state(BENCH), plan_for_profile([3], [0], BENCH))
         import json
 
         lines = events_to_ndjson(ctrl.event_log).strip().split("\n")

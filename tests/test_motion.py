@@ -18,8 +18,6 @@ from plantchart.motion import (
     lowfi_timeline,
     plan_for_profile,
     plan_from_json,
-    plan_graphical,
-    plan_physical,
     plan_to_json,
     transition_plan,
 )
@@ -27,39 +25,39 @@ from plantchart.motion import (
 
 class TestPlanPhysical:
     def test_full_unfurl_sequence_hits_the_leaf_device_total(self):
-        plan = plan_physical([10] * 10, [0] * 10, PLANTFORM)
+        plan = plan_for_profile([10] * 10, [0] * 10, PLANTFORM)
         assert 18.0 <= plan.total_duration <= 20.0
 
     def test_eight_hour_full_sequence(self):
-        plan = plan_physical([10] * 8, [0] * 8, PLANTFORM)
+        plan = plan_for_profile([10] * 8, [0] * 8, PLANTFORM)
         assert 13.0 <= plan.total_duration <= 15.0
 
     def test_ring_device_totals(self):
-        assert 11.0 <= plan_physical([10] * 10, [0] * 10, CAIRNFORM).total_duration <= 13.0
-        assert 7.0 <= plan_physical([10] * 8, [0] * 8, CAIRNFORM).total_duration <= 9.0
+        assert 11.0 <= plan_for_profile([10] * 10, [0] * 10, CAIRNFORM).total_duration <= 13.0
+        assert 7.0 <= plan_for_profile([10] * 8, [0] * 8, CAIRNFORM).total_duration <= 9.0
 
     def test_no_change_means_empty_plan(self):
-        plan = plan_physical([3, 5, 7], [3, 5, 7], PLANTFORM)
+        plan = plan_for_profile([3, 5, 7], [3, 5, 7], PLANTFORM)
         assert plan.commands == ()
         assert plan.total_duration == 0.0
 
     def test_single_full_unfurl_duration(self):
         profile = DeviceProfile("bench", Modality.PHYSICAL, step_rate=120.0)
-        plan = plan_physical([10], [0], profile)
+        plan = plan_for_profile([10], [0], profile)
         assert plan.total_duration == pytest.approx(216 / 120)
 
     def test_commands_are_sequential_in_hour_order(self):
-        plan = plan_physical([5, 0, 10], [0, 0, 0], PLANTFORM)
+        plan = plan_for_profile([5, 0, 10], [0, 0, 0], PLANTFORM)
         assert [c.leaf for c in plan.commands] == [0, 2]
         assert plan.commands[1].start_time == pytest.approx(plan.commands[0].duration)
 
     def test_hour_aligned_leaf_indices(self):
-        plan = plan_physical([10, 5], [0, 0], PLANTFORM, leaf_indices=[2, 3])
+        plan = plan_for_profile([10, 5], [0, 0], PLANTFORM, leaf_indices=[2, 3])
         assert [c.leaf for c in plan.commands] == [2, 3]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            plan_physical([1, 2], [0], PLANTFORM)
+            plan_for_profile([1, 2], [0], PLANTFORM)
 
     @given(position_vectors(), position_vectors())
     def test_duration_monotone_in_total_travel(self, a, b):
@@ -67,30 +65,30 @@ class TestPlanPhysical:
         a, b = a[:n], b[:n]
         zeros = [0] * n
         travel_a, travel_b = sum(a), sum(b)
-        plan_a = plan_physical(a, zeros, PLANTFORM)
-        plan_b = plan_physical(b, zeros, PLANTFORM)
+        plan_a = plan_for_profile(a, zeros, PLANTFORM)
+        plan_b = plan_for_profile(b, zeros, PLANTFORM)
         if travel_a <= travel_b:
             assert plan_a.total_duration <= plan_b.total_duration + 1e-9
 
 
 class TestPlanGraphical:
     def test_ten_hours_take_twenty_seconds(self):
-        plan = plan_graphical([10] * 10, [0] * 10, PLANTSCREEN)
+        plan = plan_for_profile([10] * 10, [0] * 10, PLANTSCREEN)
         assert plan.total_duration == pytest.approx(20.0)
 
     def test_eight_hours_take_sixteen_seconds(self):
-        plan = plan_graphical([10] * 8, [0] * 8, PLANTSCREEN)
+        plan = plan_for_profile([10] * 8, [0] * 8, PLANTSCREEN)
         assert plan.total_duration == pytest.approx(16.0)
 
     def test_zero_hours(self):
-        plan = plan_graphical([], [], PLANTSCREEN)
+        plan = plan_for_profile([], [], PLANTSCREEN)
         assert plan.total_duration == 0.0
 
     @given(position_vectors())
     def test_duration_depends_only_on_hour_count(self, targets):
         zeros = [0] * len(targets)
-        moving = plan_graphical(targets, zeros, PLANTSCREEN)
-        idle = plan_graphical(zeros, zeros, PLANTSCREEN)
+        moving = plan_for_profile(targets, zeros, PLANTSCREEN)
+        idle = plan_for_profile(zeros, zeros, PLANTSCREEN)
         assert moving.total_duration == idle.total_duration
         assert moving.total_duration == pytest.approx(2.0 * len(targets))
 
@@ -190,22 +188,22 @@ class TestLowfiTimeline:
 
 class TestPlanSerialization:
     def test_json_round_trip(self):
-        plan = plan_physical([0, 3, 10, 5], [0, 0, 0, 0], PLANTFORM)
+        plan = plan_for_profile([0, 3, 10, 5], [0, 0, 0, 0], PLANTFORM)
         again = plan_from_json(plan_to_json(plan))
         assert again == plan
 
     def test_json_is_deterministic(self):
-        plan = plan_physical([1, 2, 3], [0, 0, 0], CAIRNFORM)
+        plan = plan_for_profile([1, 2, 3], [0, 0, 0], CAIRNFORM)
         assert plan_to_json(plan) == plan_to_json(plan)
 
     def test_plan_validation_rejects_unsorted_commands(self):
-        plan = plan_physical([5, 5], [0, 0], PLANTFORM)
+        plan = plan_for_profile([5, 5], [0, 0], PLANTFORM)
         swapped = (plan.commands[1], plan.commands[0])
         with pytest.raises(ValueError):
             MotionPlan(plan.profile, swapped, plan.total_duration)
 
     def test_plan_validation_rejects_overlapping_leaf_commands(self):
-        a = plan_physical([5], [0], PLANTFORM).commands[0]
+        a = plan_for_profile([5], [0], PLANTFORM).commands[0]
         b = a.__class__(a.leaf, a.target, 0, a.start_time + a.duration / 2, a.duration)
         with pytest.raises(ValueError):
             MotionPlan("plantform", (a, b), b.start_time + b.duration)
@@ -216,6 +214,16 @@ class TestPlanSerialization:
         (MotionCommand(0, 0, 5, 0.0, float("nan")), "duration must be a finite number, got nan"),
         (MotionCommand(0, 0, 5, 0.0, float("inf")), "duration must be a finite number, got inf"),
         (MotionCommand(0, 0, 5, 0.0, -1.0), "duration must be >= 0, got -1.0"),
+        (MotionCommand(0, -1, 5, 0.0, 1.0), r"source must be a number in \[0, 10\], got -1"),
+        (MotionCommand(0, 0, -1, 0.0, 1.0), r"target must be a number in \[0, 10\], got -1"),
+        (MotionCommand(0, 0, 11, 0.0, 1.0), r"target must be a number in \[0, 10\], got 11"),
+        (MotionCommand(0, 0, 10000, 0.0, 1.0),
+         r"target must be a number in \[0, 10\], got 10000"),
+        (MotionCommand(0, 0, float("nan"), 0.0, 1.0),
+         r"target must be a number in \[0, 10\], got nan"),
+        (MotionCommand(0, True, 5, 0.0, 1.0), r"source must be a number in \[0, 10\], got True"),
+        (MotionCommand(0, "5", 5, 0.0, 1.0), r"source must be a number in \[0, 10\], got '5'"),
+        (MotionCommand(0, 0, None, 0.0, 1.0), r"target must be a number in \[0, 10\], got None"),
     ])
     def test_plan_validation_rejects_bad_command_times(self, command, message):
         first = MotionCommand(3, 0, 2, 0.0, 0.5)
@@ -227,8 +235,14 @@ class TestPlanSerialization:
         with pytest.raises(ValueError, match="^total_duration must be a finite number"):
             MotionPlan("plantform", (MotionCommand(0, 0, 5, 0.0, 1.0),), total)
 
+    def test_plan_json_with_a_target_out_of_range_is_rejected(self):
+        text = plan_to_json(plan_for_profile([0, 3], [0, 0], PLANTFORM)).replace(
+            '"to": 3', '"to": -1')
+        with pytest.raises(ValueError, match="command 0 \\(leaf 1\\): target must be a number"):
+            plan_from_json(text)
+
     def test_plan_json_with_nan_start_time_is_rejected(self):
-        text = plan_to_json(plan_physical([0, 3], [0, 0], PLANTFORM)).replace(
+        text = plan_to_json(plan_for_profile([0, 3], [0, 0], PLANTFORM)).replace(
             '"start_time": 0.0', '"start_time": NaN')
         with pytest.raises(ValueError, match="command 0 \\(leaf 1\\): start_time"):
             plan_from_json(text)

@@ -10,7 +10,7 @@ from plantchart.motion import (
     MotionPlan,
     lowfi_timeline,
     plan_for_profile,
-    plan_graphical,
+    transition_plan,
 )
 from plantchart.render import (
     DEVICE_DIMENSIONS,
@@ -29,6 +29,7 @@ from plantchart.svg import (
     GALLERY_HOURS,
     GALLERY_POSITIONS,
     GALLERY_STYLES,
+    MAX_FRAMES,
     design_space_gallery,
     render_frames,
     render_svg,
@@ -208,12 +209,12 @@ class TestRenderFrames:
         assert docs == []
 
     def test_graphical_plan_sampling(self):
-        plan = plan_graphical([10] * 10, [0] * 10, PLANTSCREEN)
+        plan = plan_for_profile([10] * 10, [0] * 10, PLANTSCREEN)
         docs = render_frames(plan, HOURS10, LEAF_TWO_CURVY, fps=4.0)
         assert len(docs) == 80
 
     def test_final_frame_shows_the_targets(self):
-        plan = plan_graphical([10] * 10, [0] * 10, PLANTSCREEN)
+        plan = plan_for_profile([10] * 10, [0] * 10, PLANTSCREEN)
         docs = render_frames(plan, HOURS10, LEAF_TWO_CURVY, fps=2.0)
         final = render_svg(layout([10] * 10, HOURS10, LEAF_TWO_CURVY))
         assert docs[-1] == final
@@ -234,6 +235,17 @@ class TestRenderFrames:
     def test_frame_count_within_1e_9_of_a_whole_number(self, duration, fps, count):
         plan = MotionPlan("plantscreen", (MotionCommand(0, 0, 10, 0.0, duration),), duration)
         assert len(render_frames(plan, HOURS10, BAR_ONE_STRAIGHT, fps=fps)) == count
+
+    def test_a_ten_hour_screen_transition_at_60_fps_renders(self):
+        plan = transition_plan([10] * 10, [10] * 10, PLANTSCREEN)
+        assert plan.total_duration == 40.0
+        assert len(render_frames(plan, HOURS10, BAR_ONE_STRAIGHT, fps=60.0)) == 2400
+
+    def test_a_frame_count_past_the_bound_is_refused(self):
+        duration = MAX_FRAMES + 2e-9
+        plan = MotionPlan("plantscreen", (MotionCommand(0, 0, 10, 0.0, duration),), duration)
+        with pytest.raises(ValueError, match=f"more than {MAX_FRAMES} frames"):
+            render_frames(plan, HOURS10, BAR_ONE_STRAIGHT, fps=1.0)
 
     def test_cairnscreen_final_frame_is_the_static_chart(self):
         style = parse_style("ring,two-sided,straight")

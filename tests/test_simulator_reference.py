@@ -280,23 +280,3 @@ def test_waits_and_motions_longer_than_many_thousand_ticks():
         MotionCommand(4, 0, 1, 2.9, 0.2),
     ), 3.1)
     assert_plan_matches_reference(device.initial_state(PLANTFORM), plan, dt)
-
-
-def test_power_gate_with_commands_pending_then_tick():
-    """Gating the relay off before the first dispatch makes ``tick`` take
-    the relay-on branch when the command comes due."""
-    plan = MotionPlan("plantform", (
-        MotionCommand(2, 0, 6, 0.05, 0.8),
-        MotionCommand(7, 0, 3, 0.9, 0.4),
-    ), 1.3)
-    ours = reference = device.power_gate(device.submit_plan(device.initial_state(PLANTFORM), plan))
-    assert not ours.relay_on and ours.pending
-    while reference.busy:
-        ours = device.tick(ours, 0.02)
-        reference = reference_tick(reference, 0.02)
-        assert ours == reference
-        if ours.pending:
-            ours = reference = device.power_gate(ours)
-    assert_same_run(ours, reference)
-    relay_on = [e for e in ours.event_log if e.kind == "relay" and e.detail == (("on", True),)]
-    assert len(relay_on) >= 2
