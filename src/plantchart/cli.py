@@ -1,7 +1,10 @@
 """Command-line surface: forecasts in, plans, renders and event logs out.
 
 Exit codes: 0 ok, 2 input error, 3 encoding-domain error, 4 simulation
-error.
+error.  :func:`main` alone maps an exception to its exit code, by type:
+:class:`.device.SimulationError` exits 4, :class:`.encoder.EncodingDomainError`
+exits 3, and any other ``ValueError`` or ``OSError`` exits 2.  Each prints one
+line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -15,22 +18,20 @@ from pathlib import Path
 
 from . import device, fixtures, serve
 from .encoder import (
+    EncodingDomainError,
     EncodingMode,
-    FlatVariationError,
     encode_absolute,
     encode_series,
     encode_six_step,
 )
-from .motion import BUILTIN_PROFILES, DeviceProfile, MotionPlan, plan_to_json, profile_from_json
+from .motion import BUILTIN_PROFILES, DeviceProfile, plan_to_json, profile_from_json
 from .render import (
     DEVICE_DIMENSIONS,
     ChartDimensions,
-    UnsupportedStyleError,
     layout,
     parse_style,
 )
 from .series import (
-    ForecastDocumentError,
     ForecastSeries,
     Variation,
     read_series,
@@ -48,10 +49,8 @@ EXIT_SIMULATION = 4
 PROFILE_DIR_ENV = "PLANTCHART_PROFILE_DIR"
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INPUT):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """A bad argument or input the CLI itself detects."""
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -59,12 +58,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except device.SimulationError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ENCODING if isinstance(exc, EncodingDomainError) else EXIT_INPUT
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -170,8 +169,6 @@ def _resolve_series(args) -> ForecastSeries:
         return read_series(args.input)
     except FileNotFoundError:
         raise CliError(f"no such file: {args.input}") from None
-    except ForecastDocumentError as exc:
-        raise CliError(str(exc)) from None
 
 
 def _resolve_profile(name: str) -> DeviceProfile:
@@ -207,36 +204,14 @@ def _resolve_dims(spec: str) -> ChartDimensions:
         raise CliError(f"invalid dims {spec!r}: {exc}") from None
 
 
-def _service(profile: DeviceProfile, args) -> serve.ForecastService:
-    try:
-        return serve.ForecastService(profile, EncodingMode(args.mode), tick=args.tick)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
 def _pick_variation(variations: list[Variation], index: int) -> Variation:
     if not variations:
-        raise CliError("the series is flat: it contains no variation", EXIT_ENCODING)
+        raise EncodingDomainError("the series is flat: it contains no variation")
     if not 0 <= index < len(variations):
         raise CliError(
             f"variation index {index} out of range; the series has {len(variations)}"
         )
     return variations[index]
-
-
-def _encode_for(series, variation, mode: EncodingMode) -> list[int]:
-    try:
-        return encode_series(series, variation, mode)
-    except FlatVariationError as exc:
-        raise CliError(str(exc), EXIT_ENCODING) from None
-
-
-def _plan_variation(series, variation, args, profile) -> MotionPlan:
-    """The CLI's plan: the variation's own leaves, from furled."""
-    try:
-        return serve.plan_variation(series, variation, EncodingMode(args.mode), profile)
-    except ValueError as exc:  # a flat variation or a raised leaf past 17:59
-        raise CliError(str(exc), EXIT_ENCODING) from None
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -285,7 +260,7 @@ def cmd_encode(args) -> int:
         positions = [encode(r) for r in series.rates]
     else:
         variation = _pick_variation(variations, args.variation_index)
-        positions = _encode_for(series, variation, mode)
+        positions = encode_series(series, variation, mode)
     print(
         json.dumps(
             {"hours": list(series.hours), "positions": positions, "mode": mode.value},
@@ -300,22 +275,20 @@ def cmd_plan(args) -> int:
     series = _resolve_series(args)
     profile = _resolve_profile(args.profile)
     variation = _pick_variation(segment_variations(series), args.variation_index)
-    _emit(plan_to_json(_plan_variation(series, variation, args, profile)), args.out)
+    plan = serve.plan_variation(series, variation, EncodingMode(args.mode), profile)
+    _emit(plan_to_json(plan), args.out)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     series = _resolve_series(args)
     profile = _resolve_profile(args.profile)
-    service = _service(profile, args)
+    service = serve.ForecastService(profile, EncodingMode(args.mode), tick=args.tick)
     if args.all_variations:
-        try:
-            service.display_series(series)
-        except ValueError as exc:  # a raised leaf past 17:59
-            raise CliError(str(exc), EXIT_ENCODING) from None
+        service.display_series(series)
     else:
         variation = _pick_variation(segment_variations(series), args.variation_index)
-        plan = _plan_variation(series, variation, args, profile)
+        plan = serve.plan_variation(series, variation, service.mode, profile)
         service.controller = device.run_plan(service.controller, plan, dt=args.tick)
     _emit(service.event_log_ndjson(), args.out)
     if args.out is not None:
@@ -326,10 +299,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_render(args) -> int:
-    try:
-        style = parse_style(args.style)
-    except UnsupportedStyleError as exc:
-        raise CliError(str(exc)) from None
+    style = parse_style(args.style)
     dims = _resolve_dims(args.dims)
     try:
         w, h = (int(v) for v in args.canvas.lower().split("x"))
@@ -353,23 +323,17 @@ def cmd_render(args) -> int:
 
     if args.frames is not None:
         profile = _resolve_profile(args.profile)
-        plan = _plan_variation(series, variation, args, profile)
+        plan = serve.plan_variation(series, variation, EncodingMode(args.mode), profile)
         hours = [h for h in variation.hours if h <= serve.MAX_DEVICE_HOUR]
-        try:
-            docs = render_frames(plan, hours, style, dims, canvas, fps=args.fps)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        docs = render_frames(plan, hours, style, dims, canvas, fps=args.fps)
         args.frames.mkdir(parents=True, exist_ok=True)
         for i, doc in enumerate(docs):
             (args.frames / f"frame_{i:04d}.svg").write_text(doc, encoding="utf-8")
         print(f"wrote {len(docs)} frames to {args.frames}")
         return EXIT_OK
 
-    positions = _encode_for(series, variation, EncodingMode(args.mode))
-    try:
-        scene = layout(positions, list(series.hours), style, dims)
-    except (ValueError, UnsupportedStyleError) as exc:
-        raise CliError(str(exc)) from None
+    positions = encode_series(series, variation, EncodingMode(args.mode))
+    scene = layout(positions, list(series.hours), style, dims)
     document = render_svg(scene, canvas)
     _emit(document, args.out)
     return EXIT_OK
@@ -380,7 +344,7 @@ def cmd_serve(args) -> int:
         raise CliError(f"poll timeout must be a finite number of seconds >= 0, "
                        f"got {args.poll_timeout}")
     profile = _resolve_profile(args.profile)
-    service = _service(profile, args)
+    service = serve.ForecastService(profile, EncodingMode(args.mode), tick=args.tick)
     try:
         accepted = serve.run_service(
             service,

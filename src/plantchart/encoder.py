@@ -52,7 +52,11 @@ class EncodingMode(enum.Enum):
     SIX_STEP = "six-step"
 
 
-class FlatVariationError(ValueError):
+class EncodingDomainError(ValueError):
+    """A forecast the encoding or the device's leaves cannot show."""
+
+
+class FlatVariationError(EncodingDomainError):
     """Peak-relative encoding is undefined when the peak rate is zero."""
 
 

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import device
-from .encoder import EncodingMode, encode_series
+from .encoder import EncodingDomainError, EncodingMode, encode_series
 from .motion import (
     LEAF_COUNT,
     MAX_DEVICE_HOUR,
@@ -32,7 +32,6 @@ from .motion import (
     transition_plan,
 )
 from .series import (
-    ForecastDocumentError,
     ForecastSeries,
     Variation,
     load_series,
@@ -97,7 +96,7 @@ def _device_leaves(shown) -> list[tuple[int, int]]:
     for hour, position in shown:
         if hour > MAX_DEVICE_HOUR:
             if position != 0:
-                raise ValueError(
+                raise EncodingDomainError(
                     f"hour {hour} carries position {position} but the device "
                     f"has leaves only up to hour {MAX_DEVICE_HOUR}"
                 )
@@ -118,7 +117,8 @@ def plan_variation(
     With ``current`` None, only the variation's own leaves move, starting
     furled.  Given the ten current leaf positions, all ten leaves move from
     there, through :func:`transition_plan` when any leaf is raised.  Raises
-    ``ValueError`` when an hour past 17:59 encodes a nonzero position.
+    :class:`.encoder.EncodingDomainError` when an hour past 17:59 encodes a
+    nonzero position.
     """
     positions = encode_series(series, variation, mode)
     if current is None:
@@ -153,12 +153,7 @@ class ForecastService:
     def handle_payload(self, payload: str) -> bool:
         """Parse and display one forecast; returns False on rejection."""
         try:
-            series = load_series(payload)
-        except ForecastDocumentError as exc:
-            self.rejected.append(str(exc))
-            return False
-        try:
-            self.display_series(series)
+            self.display_series(load_series(payload))
         except (ValueError, device.SimulationError) as exc:
             self.rejected.append(str(exc))
             return False

@@ -248,6 +248,17 @@ class TestBadInputs:
         assert out == ""
         assert err == f"error: invalid profile {path}: {message}\n"
 
+    @pytest.mark.parametrize("argv", [["plan"], ["simulate"], ["render", "--frames", "frames"]],
+                             ids=["plan", "simulate", "render-frames"])
+    def test_a_plan_that_overflows_is_a_profile_error_and_exits_2(self, run, tmp_path, argv):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"name": "d", "step_rate": 5e-324}))
+        argv = [str(tmp_path / arg) if arg == "frames" else arg for arg in argv]
+        code, out, err = run(*argv, "--fixture", "plantform-monday", "--profile", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: total_duration must be a finite number, got inf\n"
+
     @pytest.mark.parametrize("fps", ["1e308", "1e9"])
     def test_too_many_frames_exit_2_before_any_is_drawn(self, tmp_path, fps):
         """Runs the CLI in a child process limited to 20 s and 1 GiB, so
