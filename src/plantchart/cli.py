@@ -104,7 +104,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("render", help="render a chart (SVG)")
-    _add_input_args(p, required=False)
+    _add_input_args(p)
     _add_mode_arg(p)
     p.add_argument("--variation-index", type=int, default=0)
     p.add_argument("--style", default="leaf,two-sided,curvy")
@@ -140,11 +140,10 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_input_args(parser, required: bool = True) -> None:
+def _add_input_args(parser) -> None:
     parser.add_argument("input", nargs="?", type=Path,
                         help="forecast document (CSV or JSON)")
     parser.add_argument("--fixture", help="use a built-in study variation")
-    parser.set_defaults(_input_required=required)
 
 
 def _add_mode_arg(parser) -> None:
@@ -346,7 +345,7 @@ def cmd_serve(args) -> int:
     profile = _resolve_profile(args.profile)
     service = serve.ForecastService(profile, EncodingMode(args.mode), tick=args.tick)
     try:
-        accepted = serve.run_service(
+        serve.run_service(
             service,
             serve.FileFeed(args.listen),
             max_messages=args.max_messages,
@@ -354,14 +353,14 @@ def cmd_serve(args) -> int:
             max_idle_polls=args.max_idle_polls,
         )
     except KeyboardInterrupt:
-        accepted = service.displayed
+        pass
     finally:
         if args.log is not None:
             _emit(service.event_log_ndjson(), args.log)
     print(
         json.dumps(
             {
-                "accepted": accepted,
+                "accepted": service.accepted,
                 "rejected": len(service.rejected),
                 "variations_displayed": service.displayed,
                 "leaf_positions": device.leaf_positions(service.controller),

@@ -320,7 +320,10 @@ def plan_from_json(text: str) -> MotionPlan:
 
 def profile_from_json(text: str) -> DeviceProfile:
     """Parse a custom profile document (the builtin profiles' JSON shape)."""
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(payload, dict):
         raise ValueError("expected a JSON object")
     return DeviceProfile(

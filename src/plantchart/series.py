@@ -217,12 +217,18 @@ def storage_advice(variation: Variation) -> StorageAdvice:
     return StorageAdvice(recharge=variation.peak, discharge_start=variation.start)
 
 
-def load_series(document: str) -> ForecastSeries:
+def load_series(document: str | bytes) -> ForecastSeries:
     """Parse a forecast document, either CSV with a ``hour,rate`` header or a
     JSON object ``{"date": ..., "samples": [{"hour": ..., "rate": ...}]}``.
+    Bytes are decoded as UTF-8.
 
     Raises :class:`ForecastDocumentError` naming the offending field.
     """
+    if isinstance(document, bytes):
+        try:
+            document = document.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ForecastDocumentError("document", f"not UTF-8: {exc}") from None
     stripped = document.lstrip()
     if not stripped:
         raise ForecastDocumentError("document", "empty forecast document")
@@ -232,7 +238,7 @@ def load_series(document: str) -> ForecastSeries:
 
 
 def read_series(path) -> ForecastSeries:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         return load_series(handle.read())
 
 
@@ -241,6 +247,8 @@ def _load_json(document: str) -> ForecastSeries:
         payload = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ForecastDocumentError("document", f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ForecastDocumentError("document", "JSON nested too deeply") from None
     if not isinstance(payload, dict):
         raise ForecastDocumentError("document", "expected a JSON object")
     samples = payload.get("samples")
@@ -263,8 +271,12 @@ def _load_json(document: str) -> ForecastSeries:
 
 
 def _load_csv(document: str) -> ForecastSeries:
-    reader = csv.reader(io.StringIO(document))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    # Universal newlines, as a file read in text mode would have.
+    reader = csv.reader(io.StringIO(document, newline=None))
+    try:
+        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise ForecastDocumentError("document", f"invalid CSV: {exc}") from None
     if not rows:
         raise ForecastDocumentError("document", "empty forecast document")
     header = [cell.strip().lower() for cell in rows[0]]

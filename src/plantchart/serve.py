@@ -53,7 +53,7 @@ class FileFeed:
         self.path = path
         self._offset = 0
 
-    def poll(self, timeout: float = 0.0) -> str | None:
+    def poll(self, timeout: float = 0.0) -> bytes | None:
         deadline = time.monotonic() + timeout
         while True:
             line = self._read_line()
@@ -63,14 +63,16 @@ class FileFeed:
                 return None
             time.sleep(min(POLL_QUANTUM, timeout))
 
-    def _read_line(self) -> str | None:
-        """The next non-blank complete line, skipping blank ones."""
+    def _read_line(self) -> bytes | None:
+        """The next non-blank complete line, skipping blank ones.  Lines are
+        bytes, so that one that is not UTF-8 reaches :func:`load_series`,
+        which rejects it, and the lines after it are still read."""
         try:
-            with open(self.path, "r", encoding="utf-8") as handle:
+            with open(self.path, "rb") as handle:
                 handle.seek(self._offset)
                 while True:
                     line = handle.readline()
-                    if not line.endswith("\n"):
+                    if not line.endswith(b"\n"):
                         return None  # incomplete write; retry later
                     self._offset = handle.tell()
                     stripped = line.strip()
@@ -143,6 +145,7 @@ class ForecastService:
     mode: EncodingMode = EncodingMode.PEAK_RELATIVE
     tick: float = 0.01
     controller: device.ControllerState = field(init=False)
+    accepted: int = field(init=False, default=0)
     displayed: int = field(init=False, default=0)
     rejected: list[str] = field(init=False, default_factory=list)
 
@@ -150,13 +153,14 @@ class ForecastService:
         device.check_dt(self.tick)
         self.controller = device.initial_state(self.profile)
 
-    def handle_payload(self, payload: str) -> bool:
+    def handle_payload(self, payload: str | bytes) -> bool:
         """Parse and display one forecast; returns False on rejection."""
         try:
             self.display_series(load_series(payload))
         except (ValueError, device.SimulationError) as exc:
             self.rejected.append(str(exc))
             return False
+        self.accepted += 1
         return True
 
     def display_series(self, series: ForecastSeries) -> None:
@@ -179,11 +183,11 @@ def run_service(
     max_idle_polls: int | None = None,
 ) -> int:
     """Poll the feed until ``max_messages`` payloads were handled (or the
-    feed stays silent for ``max_idle_polls`` polls).  Returns the number of
-    accepted payloads.  Poll failures back off, doubling up to one second
-    from at least :data:`POLL_QUANTUM`, so an idle feed is never polled
-    in a busy loop, even with a zero ``poll_timeout``."""
-    accepted = 0
+    feed stays silent for ``max_idle_polls`` polls).  Returns
+    ``service.accepted``, the payloads the service has accepted so far.
+    Poll failures back off, doubling up to one second from at least
+    :data:`POLL_QUANTUM`, so an idle feed is never polled in a busy loop,
+    even with a zero ``poll_timeout``."""
     handled = 0
     idle = 0
     backoff = poll_timeout
@@ -201,6 +205,5 @@ def run_service(
         idle = 0
         backoff = poll_timeout
         handled += 1
-        if service.handle_payload(payload):
-            accepted += 1
-    return accepted
+        service.handle_payload(payload)
+    return service.accepted

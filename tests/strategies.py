@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and bad inputs shared by the test modules."""
 
 from hypothesis import strategies as st
 
@@ -26,3 +26,12 @@ def position_vectors(draw, min_length: int = 3, max_length: int = 10):
             st.integers(min_value=0, max_value=10), min_size=length, max_size=length
         )
     )
+
+
+# One-line documents no parser accepts, each with the text its
+# ``document:`` rejection contains.
+UNPARSABLE_DOCUMENTS = {
+    "non-utf8": (b'{"samples": "\xff"}', "not UTF-8"),
+    "json-nested-100k": (b'{"a":' * 100_000 + b"1" + b"}" * 100_000, "JSON nested too deeply"),
+    "csv-field-200k": (b"hour," + b"9" * 200_000, "field larger than field limit"),
+}

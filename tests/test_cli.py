@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import plantchart
+from plantchart import serve
 from plantchart.cli import main
 from plantchart.svg import MAX_FRAMES
+from strategies import UNPARSABLE_DOCUMENTS
 
 
 @pytest.fixture
@@ -23,6 +25,12 @@ def run(capsys):
 
 
 FLAT_CSV = "hour,rate\n" + "\n".join(f"{h},0.0" for h in range(8, 13))
+MONDAY_JSON = json.dumps({"samples": [
+    {"hour": h, "rate": r} for h, r in zip(range(8, 18), (0, .3, .5, .6, 1, .6, .5, .3, .2, 0))
+]}).encode()
+TWO_VARIATIONS_JSON = json.dumps({"samples": [
+    {"hour": h, "rate": r} for h, r in zip(range(8, 13), (0.0, 0.6, 0.2, 0.8, 0.0))
+]})
 
 
 class TestSegment:
@@ -183,6 +191,24 @@ class TestSimulate:
         assert out == ""
         assert err == "error: hour 18 carries position 10 but the device has leaves only up to hour 17\n"
 
+    def test_ctrl_c_summary_counts_payloads_not_variations(self, run, monkeypatch):
+        class InterruptedFeed:
+            """Delivers one two-variation payload, then the operator hits Ctrl-C."""
+
+            def __init__(self, path):
+                self.payloads = [TWO_VARIATIONS_JSON]
+
+            def poll(self, timeout=0.0):
+                if not self.payloads:
+                    raise KeyboardInterrupt
+                return self.payloads.pop()
+
+        monkeypatch.setattr(serve, "FileFeed", InterruptedFeed)
+        code, out, _ = run("serve", "--listen", "feed.ndjson", "--tick", "0.05")
+        assert code == 0
+        summary = json.loads(out)
+        assert (summary["accepted"], summary["variations_displayed"]) == (1, 2)
+
     def test_nan_poll_timeout_exits_2_instead_of_polling_forever(self, run, tmp_path):
         code, out, err = run("serve", "--listen", str(tmp_path / "feed.ndjson"),
                              "--max-idle-polls", "1", "--poll-timeout", "nan")
@@ -201,6 +227,53 @@ class TestSimulate:
 class TestBadInputs:
     """Probes that once ended in a traceback now exit 2 or 4 with one line."""
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["segment", "DIR"], id="segment-dir"),
+        pytest.param(["plan", "--fixture", "plantform-monday", "--out", "FILE/x"],
+                     id="plan-out-under-file"),
+        pytest.param(["simulate", "--fixture", "plantform-monday", "--out", "FILE/x"],
+                     id="simulate-out-under-file"),
+        pytest.param(["render", "--fixture", "plantform-monday", "--out", "FILE/x"],
+                     id="render-out-under-file"),
+        pytest.param(["render", "--fixture", "plantform-monday", "--frames", "FILE/d"],
+                     id="frames-under-file"),
+        pytest.param(["render", "--gallery", "FILE/g"], id="gallery-under-file"),
+        pytest.param(["serve", "--listen", "DIR"], id="serve-listen-dir"),
+        pytest.param(["serve", "--listen", "FILE", "--log", "FILE/l"], id="serve-log-under-file"),
+    ])
+    def test_unusable_path_exits_2_with_one_line(self, run, tmp_path, argv):
+        (tmp_path / "DIR").mkdir()
+        (tmp_path / "FILE").write_text("x\n")
+        argv = [str(tmp_path / arg) if arg.split("/")[0] in ("DIR", "FILE") else arg
+                for arg in argv]
+        if argv[0] == "serve":
+            argv += ["--max-idle-polls", "1", "--poll-timeout", "0"]
+        code, out, err = run(*argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", sorted(UNPARSABLE_DOCUMENTS))
+    def test_unparsable_document_exits_2_naming_the_document(self, run, tmp_path, name):
+        document, reason = UNPARSABLE_DOCUMENTS[name]
+        path = tmp_path / "forecast"
+        path.write_bytes(document)
+        code, out, err = run("segment", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: document: ") and reason in err and err.count("\n") == 1
+
+    def test_serve_rejects_unparsable_lines_and_serves_the_rest(self, run, tmp_path):
+        feed = tmp_path / "feed.ndjson"
+        bad = [UNPARSABLE_DOCUMENTS[name][0] for name in sorted(UNPARSABLE_DOCUMENTS)]
+        feed.write_bytes(b"\n".join([MONDAY_JSON, *bad, MONDAY_JSON]) + b"\n")
+        code, out, err = run("serve", "--listen", str(feed), "--tick", "0.1",
+                             "--max-idle-polls", "1", "--poll-timeout", "0")
+        assert code == 0
+        assert err == ""
+        summary = json.loads(out)
+        assert (summary["accepted"], summary["rejected"]) == (2, 3)
+
     @pytest.mark.parametrize("argv, profile, code", [
         pytest.param(["render", "--canvas", "0x0"], None, 2, id="canvas-0x0"),
         pytest.param(["render", "--dims", "nan,1,2"], None, 2, id="dims-nan"),
@@ -216,6 +289,11 @@ class TestBadInputs:
         pytest.param(["plan"], ["not", "an", "object"], 2, id="profile-not-an-object"),
         pytest.param(["simulate", "--tick", "1e10"], {"name": "big", "step_rate": 1e300}, 4,
                      id="budget-overflow"),
+        # The plan's duration overflows: the profile is at fault, not the encoding.
+        pytest.param(["plan"], {"name": "d", "step_rate": 5e-324}, 2, id="plan-overflow"),
+        pytest.param(["simulate"], {"name": "d", "step_rate": 5e-324}, 2, id="simulate-overflow"),
+        pytest.param(["render", "--frames", "FRAMES"], {"name": "d", "step_rate": 5e-324}, 2,
+                     id="frames-overflow"),
     ])
     def test_exits_with_one_line_and_no_traceback(self, run, tmp_path, argv, profile, code):
         argv = [str(tmp_path / "frames") if arg == "FRAMES" else arg for arg in argv]
@@ -234,10 +312,12 @@ class TestBadInputs:
         ("plan", {"name": ""}, "name must be a non-empty string, got ''"),
         ("serve", {"name": "s", "reset_before_next_variation": "false"},
          "reset_before_next_variation must be true or false, got 'false'"),
+        pytest.param("plan", '{"name":' * 100_000 + '"d"' + "}" * 100_000,
+                     "JSON nested too deeply", id="plan-json-nested-100k"),
     ])
     def test_bad_profile_field_exits_2_naming_it(self, run, tmp_path, command, profile, message):
         path = tmp_path / "profile.json"
-        path.write_text(json.dumps(profile))
+        path.write_text(profile if isinstance(profile, str) else json.dumps(profile))
         if command == "plan":
             argv = ["plan", "--fixture", "plantform-monday"]
         else:
@@ -247,17 +327,6 @@ class TestBadInputs:
         assert code == 2
         assert out == ""
         assert err == f"error: invalid profile {path}: {message}\n"
-
-    @pytest.mark.parametrize("argv", [["plan"], ["simulate"], ["render", "--frames", "frames"]],
-                             ids=["plan", "simulate", "render-frames"])
-    def test_a_plan_that_overflows_is_a_profile_error_and_exits_2(self, run, tmp_path, argv):
-        path = tmp_path / "profile.json"
-        path.write_text(json.dumps({"name": "d", "step_rate": 5e-324}))
-        argv = [str(tmp_path / arg) if arg == "frames" else arg for arg in argv]
-        code, out, err = run(*argv, "--fixture", "plantform-monday", "--profile", str(path))
-        assert code == 2
-        assert out == ""
-        assert err == "error: total_duration must be a finite number, got inf\n"
 
     @pytest.mark.parametrize("fps", ["1e308", "1e9"])
     def test_too_many_frames_exit_2_before_any_is_drawn(self, tmp_path, fps):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from strategies import grid_series
+from strategies import UNPARSABLE_DOCUMENTS, grid_series
 from oracles import brute_force_variations
 from plantchart.fixtures import interpolate_series
 from plantchart.series import (
@@ -241,3 +241,16 @@ class TestLoadSeries:
     def test_malformed_json(self):
         with pytest.raises(ForecastDocumentError):
             load_series('{"samples": [')
+
+    @pytest.mark.parametrize("name", sorted(UNPARSABLE_DOCUMENTS))
+    def test_unparsable_document_is_a_document_error(self, name):
+        document, reason = UNPARSABLE_DOCUMENTS[name]
+        with pytest.raises(ForecastDocumentError) as err:
+            load_series(document)
+        assert err.value.path == "document"
+        assert reason in str(err.value)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_csv_lines_may_end_in_any_newline(self, newline):
+        doc = newline.join(["hour,rate", "8,0.1", "9,0.6", "10,0.2"]).encode()
+        assert load_series(doc).rates == (0.1, 0.6, 0.2)

@@ -15,6 +15,7 @@ from plantchart.serve import (
     run_service,
 )
 from plantchart.series import load_series, segment_variations
+from strategies import UNPARSABLE_DOCUMENTS
 
 
 def payload_for(anchors=(8, 12, 17)):
@@ -96,6 +97,16 @@ class TestForecastService:
         assert service.rejected
         assert service.handle_payload(payload_for())
         assert service.displayed == 1
+
+    @pytest.mark.parametrize("name", sorted(UNPARSABLE_DOCUMENTS))
+    def test_unparsable_payload_is_a_document_rejection(self, name):
+        document, reason = UNPARSABLE_DOCUMENTS[name]
+        service = ForecastService(PLANTFORM, tick=0.05)
+        assert not service.handle_payload(document)
+        assert service.handle_payload(payload_for().encode())
+        (rejection,) = service.rejected
+        assert rejection.startswith("document: ") and reason in rejection
+        assert (service.accepted, service.displayed) == (1, 1)
 
     def test_back_to_back_payloads_transition_from_previous_state(self):
         service = ForecastService(PLANTFORM, tick=0.05)
@@ -196,6 +207,17 @@ class TestFeeds:
         assert accepted == 1
         assert service.displayed == 1
         assert len(service.rejected) == 1
+
+    def test_unparsable_lines_are_rejected_between_served_ones(self, tmp_path):
+        path = tmp_path / "feed.ndjson"
+        bad = [UNPARSABLE_DOCUMENTS[name][0] for name in sorted(UNPARSABLE_DOCUMENTS)]
+        lines = [payload_for().encode(), *bad, payload_for((9, 11, 13)).encode()]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        service = ForecastService(PLANTFORM, tick=0.1)
+        assert run_service(service, FileFeed(path), poll_timeout=0, max_idle_polls=1) == 2
+        assert service.displayed == 2
+        assert len(service.rejected) == 3
+        assert all(reason.startswith("document: ") for reason in service.rejected)
 
     def test_run_service_stops_when_idle(self, tmp_path):
         path = tmp_path / "feed.ndjson"
