@@ -59,11 +59,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except device.SimulationError as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
+        message, code = f"simulation error: {exc}", EXIT_SIMULATION
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ENCODING if isinstance(exc, EncodingDomainError) else EXIT_INPUT
+        message = f"error: {exc}"
+        code = EXIT_ENCODING if isinstance(exc, EncodingDomainError) else EXIT_INPUT
+    # A path quoted in the message may hold a newline; the message stays one line.
+    print(message.replace("\n", "\\n"), file=sys.stderr)
+    return code
 
 
 def _parser() -> argparse.ArgumentParser:

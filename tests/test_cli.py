@@ -61,6 +61,14 @@ class TestSegment:
         code, _, err = run("segment")
         assert code == 2
 
+    def test_missing_file_with_a_newline_in_its_name_exits_2_with_one_line(self, run, tmp_path):
+        path = tmp_path / "missing\nname.csv"
+        code, out, err = run("segment", str(path))
+        assert code == 2
+        assert out == ""
+        shown = str(path).replace("\n", "\\n")
+        assert err == f"error: no such file: {shown}\n"
+
 
 class TestEncode:
     def test_peak_hour_maps_to_10(self, run):

@@ -34,7 +34,7 @@ FORECAST = "forecast"
 FEED = "feed.ndjson"
 PROFILE = "profile.json"
 
-UNUSABLE_PATHS = [DIRECTORY, REGULAR_FILE, f"{REGULAR_FILE}/x", "missing"]
+UNUSABLE_PATHS = [DIRECTORY, REGULAR_FILE, f"{REGULAR_FILE}/x", "missing\nfile"]
 BAD_DOCUMENTS = st.sampled_from([doc for doc, _ in UNPARSABLE_DOCUMENTS.values()]) | st.binary(
     max_size=40)
 
