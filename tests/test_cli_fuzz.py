@@ -35,8 +35,10 @@ FEED = "feed.ndjson"
 PROFILE = "profile.json"
 
 UNUSABLE_PATHS = [DIRECTORY, REGULAR_FILE, f"{REGULAR_FILE}/x", "missing\nfile"]
-BAD_DOCUMENTS = st.sampled_from([doc for doc, _ in UNPARSABLE_DOCUMENTS.values()]) | st.binary(
-    max_size=40)
+BAD_DOCUMENTS = st.one_of(
+    st.sampled_from([document for document, _ in UNPARSABLE_DOCUMENTS.values()]),
+    st.binary(max_size=40),
+)
 
 
 @st.composite
