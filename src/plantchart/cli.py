@@ -346,6 +346,12 @@ def cmd_serve(args) -> int:
                        f"got {args.poll_timeout}")
     profile = _resolve_profile(args.profile)
     service = serve.ForecastService(profile, EncodingMode(args.mode), tick=args.tick)
+    if args.log is not None:
+        # Opened before the first payload, so that an unusable path fails
+        # at once; appending leaves the file as it is until the log is
+        # written, at exit.
+        args.log.parent.mkdir(parents=True, exist_ok=True)
+        open(args.log, "a").close()
     try:
         serve.run_service(
             service,
@@ -363,7 +369,7 @@ def cmd_serve(args) -> int:
         json.dumps(
             {
                 "accepted": service.accepted,
-                "rejected": len(service.rejected),
+                "rejected": service.rejections,
                 "variations_displayed": service.displayed,
                 "leaf_positions": device.leaf_positions(service.controller),
             },

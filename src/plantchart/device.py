@@ -28,6 +28,7 @@ carries are therefore the same as when the ticks run one at a time.
 from __future__ import annotations
 
 import json
+import marshal
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
@@ -87,10 +88,6 @@ class LogEvent:
     board: int | None
     kind: str
     detail: tuple[tuple[str, object], ...]
-
-    def as_record(self) -> dict:
-        return {"t": self.t, "board": self.board, "kind": self.kind,
-                "detail": dict(self.detail)}
 
 
 @dataclass(frozen=True)
@@ -167,21 +164,31 @@ def submit_plan(ctrl: ControllerState, plan: MotionPlan) -> ControllerState:
     """Queue a plan for execution: the relay is energized and each command
     will be dispatched when its start time arrives.  The relay stays on
     until nothing is pending or moving."""
+    queued, events = _queue(ctrl, plan)
+    return replace(queued, event_log=ctrl.event_log + events) if events else queued
+
+
+def _queue(
+    ctrl: ControllerState, plan: MotionPlan
+) -> tuple[ControllerState, tuple[LogEvent, ...]]:
+    """:func:`submit_plan` with its relay-on event returned beside the state
+    instead of appended to its log, so that :func:`run_plan` copies the log
+    once."""
     if ctrl.busy:
         raise SimulationError("a plan is already executing")
     for cmd in plan.commands:
         if not 0 <= cmd.leaf < LEAF_COUNT:
             raise SimulationError(f"plan references unknown leaf {cmd.leaf}")
     if not plan.commands:
-        return ctrl
+        return ctrl, ()
     pending = tuple(
         PendingCommand(ctrl.clock + cmd.start_time, cmd) for cmd in plan.commands
     )
     if ctrl.relay_on:
-        return replace(ctrl, pending=pending)
+        return replace(ctrl, pending=pending), ()
     relay = LogEvent(ctrl.clock, None, "relay", (("on", True),))
     return replace(ctrl, boards=_set_motor_power(ctrl.boards, True), relay_on=True,
-                   pending=pending, event_log=ctrl.event_log + (relay,))
+                   pending=pending), (relay,)
 
 
 def check_dt(dt: float) -> float:
@@ -211,7 +218,8 @@ def run_plan(
         raise SimulationError(
             f"plan would take more than {MAX_TICKS} ticks of {dt} s to complete"
         )
-    return _advance(submit_plan(ctrl, plan), dt, plan.total_duration, deadline)
+    queued, events = _queue(ctrl, plan)
+    return _advance(queued, dt, plan.total_duration, deadline, events)
 
 
 def _advance(
@@ -219,8 +227,10 @@ def _advance(
     dt: float,
     duration: float | None = None,
     deadline: float = math.inf,
+    prior: tuple[LogEvent, ...] = (),
 ) -> ControllerState:
     """Tick ``ctrl`` forward on plain per-leaf locals and pack one snapshot.
+    ``prior`` events go into the log ahead of the ticks' own.
 
     With ``duration`` None this is exactly one tick.  Otherwise ticks run
     until nothing is pending or moving and ``duration`` has elapsed; the
@@ -257,7 +267,7 @@ def _advance(
     pending = ctrl.pending
     queued = len(pending)
     dispatched = 0
-    events: list[LogEvent] = []
+    events = list(prior)
 
     def elapsed(c: float) -> float:
         return c - start + _EPS
@@ -401,9 +411,43 @@ def _due_before(new_clock: float) -> float:
 
 
 def events_to_ndjson(events: tuple[LogEvent, ...]) -> str:
-    """Serialize the event log as newline-delimited JSON records."""
-    lines = [json.dumps(e.as_record(), sort_keys=True) for e in events]
+    """Serialize the event log as newline-delimited JSON records.
+
+    Each line is ``json.dumps`` with sorted keys of the record ``{"t": t,
+    "board": board, "kind": kind, "detail": dict(detail)}``.  A log repeats
+    few distinct ``(board, kind, detail)`` heads, so each head's text, the
+    line up to the time, is made once per call and the time's ``repr``
+    appended to it.  Heads are keyed on their :mod:`marshal` bytes, which
+    tell apart values that compare equal but serialize differently (``1``,
+    ``1.0``, ``True``); marshal refuses anything but plain built-in values.
+    An event whose head marshal refuses, or whose time is not a finite
+    float, is serialized whole.
+    """
+    heads: dict[bytes, str] = {}
+    lines = []
+    last_t = t_text = None
+    for event in events:
+        t = event.t
+        try:
+            key = marshal.dumps((event.board, event.kind, event.detail), 2)
+        except ValueError:
+            key = None
+        if key is None or type(t) is not float or not math.isfinite(t):
+            lines.append(_record_json(event, t))
+            continue
+        head = heads.get(key)
+        if head is None:
+            # "t" sorts last, so the line ends in '"t": 0.0}'; cut "0.0}".
+            head = heads[key] = _record_json(event, 0.0)[:-4]
+        if t is not last_t:  # the events of one tick share their time
+            last_t, t_text = t, float.__repr__(t)
+        lines.append(head + t_text + "}")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _record_json(event: LogEvent, t: object) -> str:
+    record = {"t": t, "board": event.board, "kind": event.kind, "detail": dict(event.detail)}
+    return json.dumps(record, sort_keys=True)
 
 
 def _set_motor_power(boards: tuple[BoardState, ...], on: bool) -> tuple[BoardState, ...]:

@@ -30,6 +30,8 @@ FIRST_HOUR = 8
 LAST_HOUR = 18
 MIN_SAMPLES = 3
 MAX_SAMPLES = 10
+#: Most characters of a bad value that a rejection message quotes.
+QUOTE_LIMIT = 80
 
 
 class ForecastDocumentError(ValueError):
@@ -40,20 +42,26 @@ class ForecastDocumentError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+def _quote(value: object) -> str:
+    """``repr(value)``, cut to :data:`QUOTE_LIMIT` characters and ``...``."""
+    quoted = repr(value)
+    return quoted if len(quoted) <= QUOTE_LIMIT else quoted[:QUOTE_LIMIT] + "..."
+
+
 def _check_rate(value: float, path: str = "rate") -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ForecastDocumentError(path, f"expected a number, got {value!r}")
+        raise ForecastDocumentError(path, f"expected a number, got {_quote(value)}")
     if not 0.0 <= value <= 1.0:
-        raise ForecastDocumentError(path, f"rate {value!r} out of range [0.0, 1.0]")
+        raise ForecastDocumentError(path, f"rate {_quote(value)} out of range [0.0, 1.0]")
     return float(value)
 
 
 def _check_hour(value: int, path: str = "hour") -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ForecastDocumentError(path, f"expected an integer hour, got {value!r}")
+        raise ForecastDocumentError(path, f"expected an integer hour, got {_quote(value)}")
     if not FIRST_HOUR <= value <= LAST_HOUR:
         raise ForecastDocumentError(
-            path, f"hour {value} out of range [{FIRST_HOUR}, {LAST_HOUR}]"
+            path, f"hour {_quote(value)} out of range [{FIRST_HOUR}, {LAST_HOUR}]"
         )
     return value
 
@@ -245,7 +253,7 @@ def read_series(path) -> ForecastSeries:
 def _load_json(document: str) -> ForecastSeries:
     try:
         payload = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ForecastDocumentError("document", f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise ForecastDocumentError("document", "JSON nested too deeply") from None
@@ -256,7 +264,7 @@ def _load_json(document: str) -> ForecastSeries:
         raise ForecastDocumentError("samples", "expected a list of samples")
     date = payload.get("date")
     if date is not None and not isinstance(date, str):
-        raise ForecastDocumentError("date", f"expected a string, got {date!r}")
+        raise ForecastDocumentError("date", f"expected a string, got {_quote(date)}")
     hours, rates = [], []
     for i, sample in enumerate(samples):
         if not isinstance(sample, dict):
@@ -282,7 +290,7 @@ def _load_csv(document: str) -> ForecastSeries:
     header = [cell.strip().lower() for cell in rows[0]]
     if header != ["hour", "rate"]:
         raise ForecastDocumentError(
-            "header", f"expected 'hour,rate', got {','.join(header)!r}"
+            "header", f"expected 'hour,rate', got {_quote(','.join(header))}"
         )
     hours, rates = [], []
     for i, row in enumerate(rows[1:]):
@@ -292,13 +300,13 @@ def _load_csv(document: str) -> ForecastSeries:
             hour = int(row[0].strip())
         except ValueError:
             raise ForecastDocumentError(
-                f"samples[{i}].hour", f"expected an integer hour, got {row[0].strip()!r}"
+                f"samples[{i}].hour", f"expected an integer hour, got {_quote(row[0].strip())}"
             ) from None
         try:
             rate = float(row[1].strip())
         except ValueError:
             raise ForecastDocumentError(
-                f"samples[{i}].rate", f"expected a number, got {row[1].strip()!r}"
+                f"samples[{i}].rate", f"expected a number, got {_quote(row[1].strip())}"
             ) from None
         hours.append(_check_hour(hour, f"samples[{i}].hour"))
         rates.append(_check_rate(rate, f"samples[{i}].rate"))

@@ -18,6 +18,7 @@ CLI.  Hours map to device leaves by :func:`.motion.leaf_for_hour` alone.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import device
@@ -39,6 +40,8 @@ from .series import (
 )
 
 POLL_QUANTUM = 0.02  # seconds between two reads of an idle feed
+#: Most rejection reasons a :class:`ForecastService` keeps, the latest ones.
+REJECTIONS_KEPT = 1000
 
 
 class FeedClosed(Exception):
@@ -139,7 +142,11 @@ def plan_variation(
 
 @dataclass
 class ForecastService:
-    """Drives one simulated device from a stream of forecast payloads."""
+    """Drives one simulated device from a stream of forecast payloads.
+
+    ``rejections`` counts the rejected payloads; ``rejected`` keeps the
+    reasons of the latest :data:`REJECTIONS_KEPT` of them, oldest first.
+    """
 
     profile: DeviceProfile
     mode: EncodingMode = EncodingMode.PEAK_RELATIVE
@@ -147,7 +154,9 @@ class ForecastService:
     controller: device.ControllerState = field(init=False)
     accepted: int = field(init=False, default=0)
     displayed: int = field(init=False, default=0)
-    rejected: list[str] = field(init=False, default_factory=list)
+    rejections: int = field(init=False, default=0)
+    rejected: deque[str] = field(
+        init=False, default_factory=lambda: deque(maxlen=REJECTIONS_KEPT))
 
     def __post_init__(self):
         device.check_dt(self.tick)
@@ -158,6 +167,7 @@ class ForecastService:
         try:
             self.display_series(load_series(payload))
         except (ValueError, device.SimulationError) as exc:
+            self.rejections += 1
             self.rejected.append(str(exc))
             return False
         self.accepted += 1

@@ -5,13 +5,15 @@ segmentation oracle classifies every sample in place instead of walking
 monotone runs, the encoding oracles work on exact integers / decimals
 instead of floats, the simulator oracle rebuilds the frozen controller
 snapshot with ``dataclasses.replace`` on every tick instead of advancing
-plain per-leaf values, and the frames oracle lays out and serializes every
-frame whole, formatting each coordinate through ``round``, instead of
-reusing per-anchor glyph text.
+plain per-leaf values, the event-log oracle serializes every event whole
+instead of reusing the text of each distinct event head, and the frames
+oracle lays out and serializes every frame whole, formatting each
+coordinate through ``round``, instead of reusing per-anchor glyph text.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal
@@ -229,6 +231,17 @@ def reference_tick(ctrl: ControllerState, dt: float) -> ControllerState:
         pending=pending,
         event_log=ctrl.event_log + tuple(events),
     )
+
+
+def reference_events_to_ndjson(events) -> str:
+    """The NDJSON event log :func:`plantchart.device.events_to_ndjson` must
+    write: one ``json.dumps`` with sorted keys of a fresh record per event."""
+    lines = [
+        json.dumps({"t": e.t, "board": e.board, "kind": e.kind, "detail": dict(e.detail)},
+                   sort_keys=True)
+        for e in events
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def reference_run_plan(

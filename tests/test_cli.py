@@ -10,6 +10,8 @@ import pytest
 import plantchart
 from plantchart import serve
 from plantchart.cli import main
+from plantchart.motion import PLANTFORM
+from plantchart.series import QUOTE_LIMIT
 from plantchart.svg import MAX_FRAMES
 from strategies import UNPARSABLE_DOCUMENTS
 
@@ -217,6 +219,21 @@ class TestSimulate:
         summary = json.loads(out)
         assert (summary["accepted"], summary["variations_displayed"]) == (1, 2)
 
+    @pytest.mark.parametrize("lines", [[], [MONDAY_JSON, b"{bad"]], ids=["idle", "two-payloads"])
+    def test_serve_log_replaces_the_file_at_exit(self, run, tmp_path, lines):
+        feed, log = tmp_path / "feed.ndjson", tmp_path / "logs" / "events.ndjson"
+        feed.write_bytes(b"".join(line + b"\n" for line in lines))
+        log.parent.mkdir()
+        log.write_text("an older, longer log\n" * 100)
+        code, out, _ = run("serve", "--listen", str(feed), "--log", str(log), "--tick", "0.1",
+                           "--max-idle-polls", "1", "--poll-timeout", "0")
+        assert code == 0
+        service = serve.ForecastService(PLANTFORM, tick=0.1)
+        for line in lines:
+            service.handle_payload(line)
+        assert log.read_text(encoding="utf-8") == (service.event_log_ndjson() or "\n")
+        assert json.loads(out)["rejected"] == len(lines) // 2
+
     def test_nan_poll_timeout_exits_2_instead_of_polling_forever(self, run, tmp_path):
         code, out, err = run("serve", "--listen", str(tmp_path / "feed.ndjson"),
                              "--max-idle-polls", "1", "--poll-timeout", "nan")
@@ -260,6 +277,25 @@ class TestBadInputs:
         assert code == 2
         assert out == ""
         assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+    def test_unusable_log_path_exits_before_the_feed_is_read(self, run, tmp_path, monkeypatch):
+        (tmp_path / "FILE").write_text("x\n")
+        feed = tmp_path / "feed.ndjson"
+        feed.write_bytes(MONDAY_JSON + b"\n")
+        polled = []
+        monkeypatch.setattr(serve.FileFeed, "poll", lambda *args, **kwargs: polled.append(args))
+        code, out, err = run("serve", "--listen", str(feed), "--log", str(tmp_path / "FILE/l"),
+                             "--max-idle-polls", "1", "--poll-timeout", "0")
+        assert (code, out, polled) == (2, "", [])
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+    def test_a_huge_bad_value_exits_2_with_a_short_line(self, run, tmp_path):
+        path = tmp_path / "forecast.json"
+        path.write_text(json.dumps({"samples": [{"hour": 8, "rate": "9" * 1_000_000}]}))
+        code, out, err = run("segment", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: samples[0].rate: expected a number, got '999")
+        assert err.count("\n") == 1 and len(err) < QUOTE_LIMIT + 100
 
     @pytest.mark.parametrize("name", sorted(UNPARSABLE_DOCUMENTS))
     def test_unparsable_document_exits_2_naming_the_document(self, run, tmp_path, name):

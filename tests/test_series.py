@@ -3,10 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings
 
+HUGE = "9" * 1_000_000
+
 from strategies import UNPARSABLE_DOCUMENTS, grid_series
 from oracles import brute_force_variations
 from plantchart.fixtures import interpolate_series
 from plantchart.series import (
+    QUOTE_LIMIT,
     ForecastDocumentError,
     ForecastSeries,
     Variation,
@@ -254,3 +257,47 @@ class TestLoadSeries:
     def test_csv_lines_may_end_in_any_newline(self, newline):
         doc = newline.join(["hour,rate", "8,0.1", "9,0.6", "10,0.2"]).encode()
         assert load_series(doc).rates == (0.1, 0.6, 0.2)
+
+    @pytest.mark.parametrize("document, path", [
+        pytest.param(f'{{"samples": [{{"hour": 8, "rate": "{HUGE}"}}]}}', "samples[0].rate",
+                     id="rate-text"),
+        pytest.param(f'{{"samples": [{{"hour": 8, "rate": ["{HUGE}"]}}]}}', "samples[0].rate",
+                     id="rate-list"),
+        pytest.param(f'{{"samples": [{{"hour": "{HUGE}", "rate": 0.5}}]}}', "samples[0].hour",
+                     id="hour-text"),
+        pytest.param(f'{{"samples": [{{"hour": {"9" * 4000}, "rate": 0.5}}]}}',
+                     "samples[0].hour", id="hour-4000-digits"),
+        pytest.param(f'{{"date": ["{HUGE}"], "samples": []}}', "date", id="date-list"),
+        # A CSV field holds at most 131,072 characters.
+        pytest.param("hour,rate\n8," + "x" * 100_000, "samples[0].rate", id="csv-rate"),
+        pytest.param("hour,rate\n" + "x" * 100_000 + ",0.5", "samples[0].hour", id="csv-hour"),
+        pytest.param("hour," + ",".join(["9" * 100_000] * 10), "header", id="csv-header"),
+    ])
+    def test_a_huge_bad_value_is_quoted_in_part(self, document, path):
+        with pytest.raises(ForecastDocumentError) as err:
+            load_series(document)
+        assert err.value.path == path
+        message = str(err.value)
+        assert message.startswith(f"{path}: ")
+        assert len(message) <= len(path) + QUOTE_LIMIT + 60
+        assert "..." in message
+
+    @pytest.mark.parametrize("document, message", [
+        ("hour,rate\n8,0.1\n9,1.3\n10,0.2", "samples[1].rate: rate 1.3 out of range [0.0, 1.0]"),
+        ('{"samples": [{"hour": 8, "rate": "high"}]}', "samples[0].rate: expected a number, got 'high'"),
+        ('{"samples": [{"hour": 7.5, "rate": 0.5}]}',
+         "samples[0].hour: expected an integer hour, got 7.5"),
+        ('{"samples": [{"hour": 99, "rate": 0.5}]}', "samples[0].hour: hour 99 out of range [8, 18]"),
+        ('{"date": 20240603, "samples": []}', "date: expected a string, got 20240603"),
+        ("h,r\n8,0.1", "header: expected 'hour,rate', got 'h,r'"),
+    ])
+    def test_a_short_bad_value_is_quoted_whole(self, document, message):
+        with pytest.raises(ForecastDocumentError) as err:
+            load_series(document)
+        assert str(err.value) == message
+
+    def test_an_integer_past_the_digit_limit_is_a_document_error(self):
+        with pytest.raises(ForecastDocumentError) as err:
+            load_series(f'{{"samples": [{{"hour": 8, "rate": {HUGE}}}]}}')
+        assert err.value.path == "document"
+        assert str(err.value).startswith("document: invalid JSON: Exceeds the limit")

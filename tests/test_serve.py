@@ -8,6 +8,7 @@ from plantchart.encoder import EncodingMode
 from plantchart.fixtures import get_fixture
 from plantchart.motion import CAIRNSCREEN, PLANTFORM, PLANTSCREEN, DeviceProfile, Modality
 from plantchart.serve import (
+    REJECTIONS_KEPT,
     FileFeed,
     ForecastService,
     device_targets,
@@ -97,6 +98,24 @@ class TestForecastService:
         assert service.rejected
         assert service.handle_payload(payload_for())
         assert service.displayed == 1
+
+    def test_a_huge_bad_value_gives_a_short_reason(self):
+        service = ForecastService(PLANTFORM, tick=0.05)
+        huge = json.dumps({"samples": [{"hour": 8, "rate": "9" * 1_000_000}]})
+        assert not service.handle_payload(huge)
+        (reason,) = service.rejected
+        assert reason.startswith("samples[0].rate: ") and len(reason) < 200
+
+    def test_rejected_keeps_the_latest_reasons_and_counts_them_all(self):
+        service = ForecastService(PLANTFORM, tick=0.05)
+        for k in range(REJECTIONS_KEPT + 5):  # rates 2, 3, ... are out of range
+            assert not service.handle_payload(json.dumps({"samples": [{"hour": 8, "rate": k + 2}]}))
+        assert service.handle_payload(payload_for())
+        assert (service.rejections, service.accepted) == (REJECTIONS_KEPT + 5, 1)
+        assert len(service.rejected) == REJECTIONS_KEPT
+        assert service.rejected[0] == "samples[0].rate: rate 7 out of range [0.0, 1.0]"
+        assert service.rejected[-1] == (
+            f"samples[0].rate: rate {REJECTIONS_KEPT + 6} out of range [0.0, 1.0]")
 
     @pytest.mark.parametrize("name", sorted(UNPARSABLE_DOCUMENTS))
     def test_unparsable_payload_is_a_document_rejection(self, name):

@@ -2,7 +2,8 @@
 
 ``device.run_plan`` and ``device.tick`` advance plain per-leaf values; the
 reference rebuilds every dataclass on every tick.  Both must end in equal
-controller states and byte-identical NDJSON event logs.
+controller states and byte-identical NDJSON event logs, ours written by
+``device.events_to_ndjson`` and the reference's by its oracle.
 """
 
 import json
@@ -12,7 +13,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_run_plan, reference_tick
+from oracles import reference_events_to_ndjson, reference_run_plan, reference_tick
 from plantchart import device
 from plantchart.motion import (
     BUILTIN_PROFILES,
@@ -32,7 +33,7 @@ def assert_same_run(ours, reference):
     assert ours == reference
     assert (
         device.events_to_ndjson(ours.event_log).encode()
-        == device.events_to_ndjson(reference.event_log).encode()
+        == reference_events_to_ndjson(reference.event_log).encode()
     )
 
 
