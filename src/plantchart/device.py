@@ -428,21 +428,21 @@ def events_to_ndjson(events: tuple[LogEvent, ...]) -> str:
     last_t = t_text = None
     for event in events:
         t = event.t
-        try:
+        try:  # version 2 has no back-references, which depend on refcounts
             key = marshal.dumps((event.board, event.kind, event.detail), 2)
         except ValueError:
             key = None
         if key is None or type(t) is not float or not math.isfinite(t):
-            lines.append(_record_json(event, t))
+            lines.append(_record_json(event, t) + "\n")
             continue
         head = heads.get(key)
         if head is None:
             # "t" sorts last, so the line ends in '"t": 0.0}'; cut "0.0}".
             head = heads[key] = _record_json(event, 0.0)[:-4]
         if t is not last_t:  # the events of one tick share their time
-            last_t, t_text = t, float.__repr__(t)
-        lines.append(head + t_text + "}")
-    return "\n".join(lines) + ("\n" if lines else "")
+            last_t, t_text = t, float.__repr__(t) + "}\n"
+        lines.append(head + t_text)
+    return "".join(lines)
 
 
 def _record_json(event: LogEvent, t: object) -> str:
