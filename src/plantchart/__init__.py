@@ -54,6 +54,6 @@ from .series import (
     slope_ranges,
     storage_advice,
 )
-from .svg import design_space_gallery, render_frames, render_svg
+from .svg import design_space_gallery, iter_frames, render_frames, render_svg
 
 __version__ = "0.1.0"

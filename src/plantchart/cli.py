@@ -39,7 +39,7 @@ from .series import (
     slope_ranges,
     storage_advice,
 )
-from .svg import design_space_gallery, render_frames, render_svg
+from .svg import design_space_gallery, iter_frames, render_svg
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -326,11 +326,13 @@ def cmd_render(args) -> int:
         profile = _resolve_profile(args.profile)
         plan = serve.plan_variation(series, variation, EncodingMode(args.mode), profile)
         hours = [h for h in variation.hours if h <= serve.MAX_DEVICE_HOUR]
-        docs = render_frames(plan, hours, style, dims, canvas, fps=args.fps)
+        docs = iter_frames(plan, hours, style, dims, canvas, fps=args.fps)
         args.frames.mkdir(parents=True, exist_ok=True)
-        for i, doc in enumerate(docs):
-            (args.frames / f"frame_{i:04d}.svg").write_text(doc, encoding="utf-8")
-        print(f"wrote {len(docs)} frames to {args.frames}")
+        count = 0
+        for doc in docs:
+            (args.frames / f"frame_{count:04d}.svg").write_text(doc, encoding="utf-8")
+            count += 1
+        print(f"wrote {count} frames to {args.frames}")
         return EXIT_OK
 
     positions = encode_series(series, variation, EncodingMode(args.mode))

@@ -264,7 +264,7 @@ def place_anchor(
             style.decoration,
             extent,
             glyph_side,
-            tuple(_mirror(path, point[0]) for path in paths) if glyph_side == LEFT else paths,
+            _left_paths(paths, point[0], style) if glyph_side == LEFT else paths,
         )
         for glyph_side in sides
     )
@@ -291,6 +291,15 @@ def _right_paths(point, extent, style, dims, slot) -> tuple[GlyphPath, ...]:
     if style.decoration is Decoration.BAMBOO:
         return _bamboo_paths(point, extent, dims, slot)
     return _bar_paths(point, extent, dims, slot)
+
+
+def _left_paths(paths, axis_x, style) -> tuple[GlyphPath, ...]:
+    """The mirror image of a right-hand decoration's paths.  A leaf's blade
+    is mirrored once and its midrib is the mirrored blade's prefix, as on
+    the right, so the serializer formats the shared points once."""
+    if style.decoration is Decoration.LEAF:
+        return _leaf_from_blade(_mirror(paths[-1], axis_x))
+    return tuple(_mirror(path, axis_x) for path in paths)
 
 
 def _mirror(path: GlyphPath, axis_x: float) -> GlyphPath:
@@ -370,8 +379,13 @@ def _leaf_paths(point, extent, style, dims) -> tuple[GlyphPath, ...]:
         angle = -curl * u * u
         w = width * math.sin(math.pi * u)
         blade_lower.append((mx + w * math.sin(angle), my - w * math.cos(angle)))
-    blade = GlyphPath(tuple(midrib) + tuple(reversed(blade_lower)), closed=True)
-    return (GlyphPath(tuple(midrib)), blade)
+    return _leaf_from_blade(GlyphPath(tuple(midrib) + tuple(reversed(blade_lower)), closed=True))
+
+
+def _leaf_from_blade(blade: GlyphPath) -> tuple[GlyphPath, GlyphPath]:
+    """Midrib and blade: the blade's outline runs out along the midrib's
+    points, the same point objects, and back along its lower edge."""
+    return (GlyphPath(blade.points[:LEAF_SAMPLES + 1]), blade)
 
 
 def _ring_glyph(index, point, extent, style, dims, slot) -> Glyph:

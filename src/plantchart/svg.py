@@ -8,17 +8,25 @@ data.
 
 Static charts and animation frames share one serializer, in three parts:
 the header with the trunk, the glyphs, and the hour labels with the closing
-tag.  Within one :func:`render_frames` call the canvas, style, dimensions
+tag.  Within one :func:`iter_frames` call the canvas, style, dimensions
 and hours are fixed, so the projection and the first and last parts are
 serialized once.  An anchor's glyph text depends only on the anchor's index
 and its extent: it is laid out and serialized the first time a frame shows
 that pair, and later frames showing it reuse the text.  Each frame thus
-costs only the anchors that moved since an earlier frame.
+costs only the anchors that moved since an earlier frame, and frames are
+made one at a time, so writing them holds one document and the glyph texts.
+
+Within one glyph, a path whose points begin with all of the previous path's
+points reuses that path's formatted ``"x y"`` tokens and formats only the
+rest.  A leaf's blade starts with its midrib's points, so they are
+formatted once.  Reuse compares points by value, which keeps the bytes:
+equal floats format alike once ``-0.000`` is rewritten as ``0.000``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 from .motion import FrameTimeline, MotionPlan, leaf_for_hour
 from .render import (
@@ -95,11 +103,19 @@ def _serializer(scene: ChartScene, canvas: tuple[int, int]):
     )
 
     def glyph_text(glyph: Glyph) -> str:
-        return "".join(
-            f'<path d="{_path_d(path, x0, y0, scale)}'
-            + (closed_attrs if path.closed else open_attrs)
-            for path in glyph.paths
-        )
+        parts = []
+        prev_points, prev_tokens = (), []
+        for path in glyph.paths:
+            points = path.points
+            k = len(prev_points)
+            if points[:k] == prev_points:
+                tokens = prev_tokens + _tokens(points[k:], x0, y0, scale)
+            else:
+                tokens = _tokens(points, x0, y0, scale)
+            parts.append(f'<path d="{_d(tokens, path.closed)}')
+            parts.append(closed_attrs if path.closed else open_attrs)
+            prev_points, prev_tokens = points, tokens
+        return "".join(parts)
 
     font = _fmt(0.34 * scene.slot * scale)
     labels = []
@@ -123,30 +139,54 @@ def render_frames(
     initial_positions: list[int] | None = None,
     full_extension: float | None = None,
 ) -> list[str]:
-    """One SVG document per animation frame, ready for GIF assembly.
+    """Every document of :func:`iter_frames`, in one list."""
+    return list(iter_frames(source, hours, style, dims, canvas, fps,
+                            initial_positions, full_extension))
+
+
+def iter_frames(
+    source: FrameTimeline | MotionPlan,
+    hours: list[int],
+    style: ChartStyle,
+    dims: ChartDimensions = DEFAULT_DIMENSIONS,
+    canvas: tuple[int, int] = DEFAULT_CANVAS,
+    fps: float = 4.0,
+    initial_positions: list[int] | None = None,
+    full_extension: float | None = None,
+) -> Iterator[str]:
+    """One SVG document per animation frame, ready for GIF assembly, made
+    as the returned iterator is advanced.
 
     A frame timeline renders its own frames (point extensions normalized by
     ``full_extension``, default the timeline maximum; single-channel frames
     broadcast to every hour).  A motion plan is sampled at ``fps`` into at
     most :data:`MAX_FRAMES` frames; hours show plan leaves by ``leaf_for_hour``.
+    Every input is checked before this returns, so a bad frame raises
+    ``ValueError`` here, before the first document is made.
     """
     if isinstance(source, FrameTimeline):
         extent_rows = _timeline_extents(source, len(hours), full_extension)
     else:
         extent_rows = _plan_extents(source, hours, fps, initial_positions)
     if not extent_rows:
-        return []
+        return iter(())
     scene = layout_extents(extent_rows[0], hours, style, dims)
-    head, glyph_text, tail = _serializer(scene, canvas)
+    serializer = _serializer(scene, canvas)
+    for row in extent_rows[1:]:
+        check_extents(row, hours)
+    return _documents(extent_rows, scene, serializer)
+
+
+def _documents(extent_rows, scene, serializer) -> Iterator[str]:
+    head, glyph_text, tail = serializer
+    hours, style, dims = scene.hours, scene.style, scene.dims
     # Glyph text of one anchor at one extent, seeded from the first frame.
     pieces: dict[tuple[int, float], str] = {}
     for glyph in scene.glyphs:
         key = (glyph.anchor_index, glyph.extent)
         pieces[key] = pieces.get(key, "") + glyph_text(glyph)
     n = len(hours)
-    docs = []
     for row in extent_rows:
-        check_extents(row, hours)
         parts = [head]
         for i, extent in enumerate(row):
             piece = pieces.get((i, extent))
@@ -155,8 +195,7 @@ def render_frames(
                 piece = pieces[i, extent] = "".join(map(glyph_text, glyphs))
             parts.append(piece)
         parts.append(tail)
-        docs.append("".join(parts))
-    return docs
+        yield "".join(parts)
 
 
 def _timeline_extents(timeline, n_hours, full_extension):
@@ -261,10 +300,22 @@ def _fmt(value: float) -> str:
 def _path_d(path: GlyphPath, x0: float, y0: float, scale: float) -> str:
     """Path data for ``path`` projected to ``(x0 + x*scale, y0 - y*scale)``,
     every coordinate formatted as :func:`_fmt` does."""
-    d = " L ".join(
-        ["%.3f %.3f" % (x0 + x * scale, y0 - y * scale) for x, y in path.points]
-    )
-    # A token is "-0.000" only where _fmt would print "0.000": every token
-    # has exactly three decimals and a sign only at its start.
-    d = "M " + d.replace("-0.000", "0.000")
-    return d + " Z" if path.closed else d
+    return _d(_tokens(path.points, x0, y0, scale), path.closed)
+
+
+def _tokens(points, x0: float, y0: float, scale: float) -> list[str]:
+    """One ``"x y"`` token per point, projected and formatted to three
+    decimals.  A coordinate that rounds to zero from below reads ``-0.000``
+    until :func:`_d` rewrites it, so equal points give equal path data."""
+    return ["%.3f %.3f" % (x0 + x * scale, y0 - y * scale) for x, y in points]
+
+
+def _d(tokens: list[str], closed: bool) -> str:
+    """Path data from the points' tokens: a moveto, linetos, and a
+    closepath when ``closed``."""
+    if not tokens:
+        return "Z" if closed else ""
+    # A number reads "-0.000" only where _fmt would print "0.000": every
+    # number has exactly three decimals and a sign only at its start.
+    d = "M " + " L ".join(tokens).replace("-0.000", "0.000")
+    return d + " Z" if closed else d

@@ -8,7 +8,10 @@ snapshot with ``dataclasses.replace`` on every tick instead of advancing
 plain per-leaf values, the event-log oracle serializes every event whole
 instead of reusing the text of each distinct event head, and the frames
 oracle lays out and serializes every frame whole, formatting each
-coordinate through ``round``, instead of reusing per-anchor glyph text.
+coordinate through ``round``, instead of reusing per-anchor glyph text, and
+the leaf layout oracle builds a leaf's midrib and blade as separate point
+tuples and mirrors every path of a left-hand leaf on its own, instead of
+mirroring the blade once and sharing its midrib prefix.
 """
 
 from __future__ import annotations
@@ -32,7 +35,20 @@ from plantchart.device import (
 )
 from plantchart.motion import FrameTimeline, Modality, MotionCommand, MotionPlan
 from plantchart.protocol import Frame, Opcode, decode_frame, encode_frame
-from plantchart.render import DEFAULT_DIMENSIONS, layout_extents
+from plantchart.render import (
+    DEFAULT_DIMENSIONS,
+    LEAF_MAX_CURL,
+    LEAF_SAMPLES,
+    LEAF_WIDTH_RATIO,
+    LEFT,
+    RIGHT,
+    Anchoring,
+    Animation,
+    Decoration,
+    Glyph,
+    GlyphPath,
+    layout_extents,
+)
 from plantchart.series import FIRST_HOUR
 from plantchart.svg import (
     DEFAULT_CANVAS,
@@ -404,3 +420,55 @@ def reference_render_svg(scene, canvas=DEFAULT_CANVAS) -> str:
 def reference_fmt(value: float) -> str:
     """Three decimals by ``round`` first; adding 0.0 turns -0.0 into 0.0."""
     return f"{round(value, 3) + 0.0:.3f}"
+
+
+def reference_leaf_glyphs(index, point, side, extent, style, dims) -> tuple[Glyph, ...]:
+    """The glyphs :func:`plantchart.render.place_anchor` must return for a
+    leaf anchor at ``point`` on ``side``."""
+    paths = _reference_leaf_paths(point, extent, style, dims)
+    sides = (RIGHT, LEFT) if style.anchoring is Anchoring.TWO_SIDED else (side,)
+    return tuple(
+        Glyph(
+            index,
+            Decoration.LEAF,
+            extent,
+            glyph_side,
+            tuple(_reference_mirror(path, point[0]) for path in paths)
+            if glyph_side == LEFT else paths,
+        )
+        for glyph_side in sides
+    )
+
+
+def _reference_mirror(path, axis_x):
+    return GlyphPath(tuple((2 * axis_x - x, y) for x, y in path.points), path.closed)
+
+
+def _reference_leaf_paths(point, extent, style, dims):
+    ax, ay = point
+    length = dims.extent_cm(extent)
+    if style.animation is Animation.UNFURL:
+        curl = LEAF_MAX_CURL * (1.0 - extent)
+    else:
+        curl = 0.0
+
+    n = LEAF_SAMPLES
+    ds = length / n
+    midrib = [(ax, ay)]
+    x, y = ax, ay
+    for k in range(n):
+        u_mid = (k + 0.5) / n
+        angle = -curl * u_mid * u_mid
+        x += ds * math.cos(angle)
+        y += ds * math.sin(angle)
+        midrib.append((x, y))
+
+    width = LEAF_WIDTH_RATIO * length
+    blade_lower = []
+    for k, (mx, my) in enumerate(midrib):
+        u = k / n
+        angle = -curl * u * u
+        w = width * math.sin(math.pi * u)
+        blade_lower.append((mx + w * math.sin(angle), my - w * math.cos(angle)))
+    blade = GlyphPath(tuple(midrib) + tuple(reversed(blade_lower)), closed=True)
+    return (GlyphPath(tuple(midrib)), blade)

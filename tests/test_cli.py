@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -441,6 +442,26 @@ class TestRender:
         assert names[0] == "frame_0000.svg"
         # 4-hour variation at 2 s/hour sampled at 2 fps
         assert len(names) == 16
+
+    def test_frames_are_written_as_they_are_made(self, run, tmp_path):
+        """600 frames, 35.4 MB of documents with about 490 distinct anchor
+        pieces: the call's traced peak stays under a quarter of that."""
+        frames_dir = tmp_path / "frames"
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            code, out, _ = run(
+                "render", "--fixture", "plantform-monday", "--profile", "plantscreen",
+                "--style", "leaf,two-sided,curvy", "--frames", str(frames_dir), "--fps", "30",
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out == f"wrote 600 frames to {frames_dir}\n"
+        total = sum(p.stat().st_size for p in frames_dir.glob("*.svg"))
+        assert total > 35_000_000
+        assert peak < total / 4
 
 
 class TestFixturesCommand:

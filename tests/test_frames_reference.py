@@ -15,7 +15,7 @@ from plantchart.motion import (
     transition_plan,
 )
 from plantchart.render import DEVICE_DIMENSIONS, GlyphPath
-from plantchart.svg import GALLERY_STYLES, _fmt, _path_d, render_frames
+from plantchart.svg import GALLERY_STYLES, _fmt, _path_d, iter_frames, render_frames
 
 # The reference lays out and serializes every frame whole; keeping each
 # animation this short keeps the test to seconds.
@@ -127,6 +127,8 @@ def test_a_later_frame_out_of_range_fails_like_the_reference():
     got = outcome(render_frames, *args)
     assert got == (ValueError, "extent -0.075 out of range [0, 1]")
     assert got == outcome(reference_render_frames, *args)
+    # The streaming form raises before its first document is made.
+    assert outcome(iter_frames, *args) == got
 
 
 @given(st.floats(-1e6, 1e6) | st.floats(-0.0005, 0.0))

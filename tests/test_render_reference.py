@@ -1,0 +1,121 @@
+"""Static charts and leaf layout against the references in ``oracles``:
+``render_svg`` gives the line-by-line reference document byte for byte, and
+``place_anchor`` gives the first-written leaf glyphs down to the last float
+bit, which the criterion-7 mirror check and ``glyph_extent_measure`` rely on."""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import reference_leaf_glyphs, reference_render_svg
+from plantchart.render import (
+    DEVICE_DIMENSIONS,
+    Anchoring,
+    Animation,
+    ChartStyle,
+    Decoration,
+    Glyph,
+    GlyphPath,
+    TrunkForm,
+    layout,
+    layout_extents,
+    place_anchor,
+)
+from plantchart.svg import GALLERY_STYLES, render_svg
+
+dimensions = st.sampled_from(list(DEVICE_DIMENSIONS.values()))
+canvases = st.tuples(st.integers(1, 1201), st.integers(1, 1601))
+
+
+@st.composite
+def scenes(draw):
+    n = draw(st.integers(3, 10))
+    start = draw(st.integers(8, 19 - n))
+    hours = list(range(start, start + n))
+    style = draw(st.sampled_from(GALLERY_STYLES))
+    dims = draw(dimensions)
+    if draw(st.booleans()):
+        positions = draw(st.lists(st.integers(0, 10), min_size=n, max_size=n))
+        return layout(positions, hours, style, dims)
+    extents = draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
+    return layout_extents(extents, hours, style, dims)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenes(), canvases)
+def test_static_chart_equals_the_reference(scene, canvas):
+    assert render_svg(scene, canvas) == reference_render_svg(scene, canvas)
+
+
+def copy_points(points):
+    """Value-equal points in new tuples of new floats; ``repr`` keeps the
+    sign of a zero."""
+    return tuple((float(repr(x)), float(repr(y))) for x, y in points)
+
+
+NAN = float("nan")
+BASE = ((10.0, 20.0), (11.5, 19.25), (12.0, 18.0))
+HAND_BUILT = {
+    "extends-with-equal-copies": (
+        GlyphPath(BASE),
+        GlyphPath(copy_points(BASE) + ((13.0, 17.0),), closed=True),
+    ),
+    "signed-zero-prefix": (
+        GlyphPath(((-0.0, 0.0), (1.0, -0.0))),
+        GlyphPath(((0.0, -0.0), (1.0, 0.0), (2.0, 2.0)), closed=True),
+    ),
+    "nan-point-same-object": (
+        GlyphPath(((NAN, 1.0), (2.0, 3.0))),
+        GlyphPath(((NAN, 1.0), (2.0, 3.0), (4.0, NAN)), closed=True),
+    ),
+    "nan-point-other-object": (
+        GlyphPath(((NAN, 1.0), (2.0, 3.0))),
+        GlyphPath(copy_points(((NAN, 1.0), (2.0, 3.0))) + ((4.0, 5.0),)),
+    ),
+    "second-path-shorter": (
+        GlyphPath(BASE + ((13.0, 17.0),)),
+        GlyphPath(BASE[:2], closed=True),
+    ),
+    "path-with-no-points": (
+        GlyphPath(()),
+        GlyphPath(BASE),
+        GlyphPath((), closed=True),
+        GlyphPath(BASE, closed=True),
+    ),
+}
+
+
+@pytest.mark.parametrize("paths", HAND_BUILT.values(), ids=HAND_BUILT.keys())
+@pytest.mark.parametrize("canvas", [(1, 1), (480, 640), (1201, 333)])
+def test_hand_built_paths_equal_the_reference(paths, canvas):
+    base = layout([0, 5, 10], [8, 9, 10], GALLERY_STYLES[0], DEVICE_DIMENSIONS["plantform"])
+    glyph = Glyph(0, Decoration.LEAF, 0.5, "right", paths)
+    scene = replace(base, glyphs=(glyph, glyph))
+    assert render_svg(scene, canvas) == reference_render_svg(scene, canvas)
+
+
+def float_bits(glyphs):
+    return [
+        (g.anchor_index, g.decoration, g.extent.hex(), g.side,
+         [(p.closed, [(x.hex(), y.hex()) for x, y in p.points]) for p in g.paths])
+        for g in glyphs
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(TrunkForm),
+    st.sampled_from([Anchoring.ONE_SIDED, Anchoring.TWO_SIDED, Anchoring.ALTERNATED]),
+    st.sampled_from(Animation),
+    dimensions,
+    st.integers(3, 10).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+    st.floats(0, 1) | st.integers(0, 10).map(lambda p: p / 10),
+)
+def test_leaf_glyphs_equal_the_reference_bit_for_bit(trunk, anchoring, animation, dims,
+                                                     anchor, extent):
+    n, index = anchor
+    style = ChartStyle(trunk, anchoring, Decoration.LEAF, animation)
+    placed, glyphs = place_anchor(index, 8 + index, extent, n, style, dims)
+    want = reference_leaf_glyphs(index, placed.point, placed.side, extent, style, dims)
+    assert float_bits(glyphs) == float_bits(want)
