@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +21,7 @@ from plantchart.motion import (
     plan_for_profile,
     plan_from_json,
     plan_to_json,
+    profile_from_json,
     transition_plan,
 )
 
@@ -246,3 +249,21 @@ class TestPlanSerialization:
             '"start_time": 0.0', '"start_time": NaN')
         with pytest.raises(ValueError, match="command 0 \\(leaf 1\\): start_time"):
             plan_from_json(text)
+
+
+class TestProfileFromJson:
+    def test_a_document_with_only_a_name_takes_the_profile_defaults(self):
+        assert profile_from_json('{"name": "x"}') == DeviceProfile("x", Modality.PHYSICAL)
+
+    def test_a_document_setting_every_field_equals_the_profile_of_its_values(self):
+        steps = list(range(STEPS_MIN, STEPS_MIN + LEAF_COUNT))
+        text = json.dumps({
+            "name": "bench",
+            "modality": "graphical",
+            "steps_full_range": steps,
+            "step_rate": 99.5,
+            "per_rate_frame_time": 1.25,
+            "reset_before_next_variation": True,
+        })
+        assert profile_from_json(text) == DeviceProfile(
+            "bench", Modality.GRAPHICAL, tuple(steps), 99.5, 1.25, True)
