@@ -81,34 +81,26 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_segment)
 
     p = sub.add_parser("encode", help="map rates to discrete leaf positions")
-    _add_input_args(p)
-    _add_mode_arg(p)
-    p.add_argument("--variation-index", type=int, default=0)
+    _add_variation_args(p)
     p.set_defaults(handler=cmd_encode)
 
     p = sub.add_parser("plan", help="produce a timed motion plan (JSON)")
-    _add_input_args(p)
-    _add_mode_arg(p)
-    p.add_argument("--variation-index", type=int, default=0)
+    _add_variation_args(p)
     p.add_argument("--profile", default="plantform")
     p.add_argument("--out", type=Path)
     p.set_defaults(handler=cmd_plan)
 
     p = sub.add_parser("simulate", help="run a plan on the simulated device")
-    _add_input_args(p)
-    _add_mode_arg(p)
-    p.add_argument("--variation-index", type=int, default=0)
+    _add_variation_args(p)
     p.add_argument("--profile", default="plantform")
     p.add_argument("--all-variations", action="store_true",
                    help="display every variation in sequence")
-    p.add_argument("--tick", type=float, default=0.01)
+    p.add_argument("--tick", type=float, default=device.DEFAULT_TICK)
     p.add_argument("--out", type=Path, help="event log destination (NDJSON)")
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("render", help="render a chart (SVG)")
-    _add_input_args(p)
-    _add_mode_arg(p)
-    p.add_argument("--variation-index", type=int, default=0)
+    _add_variation_args(p)
     p.add_argument("--style", default="leaf,two-sided,curvy")
     p.add_argument("--dims", default="plantform",
                    help="device name or 'height,min_extent,max_extent' in cm")
@@ -130,7 +122,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_mode_arg(p)
     p.add_argument("--profile", default="plantform")
     p.add_argument("--log", type=Path, help="event log destination (NDJSON)")
-    p.add_argument("--tick", type=float, default=0.01)
+    p.add_argument("--tick", type=float, default=device.DEFAULT_TICK)
     p.add_argument("--max-messages", type=int)
     p.add_argument("--max-idle-polls", type=int)
     p.add_argument("--poll-timeout", type=float, default=0.2)
@@ -146,6 +138,12 @@ def _add_input_args(parser) -> None:
     parser.add_argument("input", nargs="?", type=Path,
                         help="forecast document (CSV or JSON)")
     parser.add_argument("--fixture", help="use a built-in study variation")
+
+
+def _add_variation_args(parser) -> None:
+    _add_input_args(parser)
+    _add_mode_arg(parser)
+    parser.add_argument("--variation-index", type=int, default=0)
 
 
 def _add_mode_arg(parser) -> None:

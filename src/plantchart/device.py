@@ -82,6 +82,10 @@ class BoardState:
     powered: bool
 
 
+#: The LED board: always powered, with no leaf channels.
+_LED = BoardState(LED_BOARD, (), powered=True)
+
+
 @dataclass(frozen=True)
 class LogEvent:
     t: float
@@ -129,24 +133,19 @@ def initial_state(
         positions = [0] * LEAF_COUNT
     if len(positions) != LEAF_COUNT:
         raise ValueError(f"expected {LEAF_COUNT} leaf positions, got {len(positions)}")
-    boards = []
-    for board_id in range(MOTOR_BOARDS):
-        channels = []
-        for ch in range(2):
-            leaf = board_id * 2 + ch
-            steps = position_to_steps(positions[leaf], profile.steps_full_range[leaf])
-            channels.append(
-                LeafChannel(
-                    current_step=steps,
-                    target_step=steps,
-                    steps_full_range=profile.steps_full_range[leaf],
-                )
-            )
-        boards.append(BoardState(board_id, tuple(channels), powered=False))
-    boards.append(BoardState(LED_BOARD, (), powered=True))
-    return ControllerState(
-        boards=tuple(boards), relay_on=False, clock=0.0, step_rate=profile.step_rate
-    )
+    full_range = profile.steps_full_range
+    steps = [position_to_steps(p, n) for p, n in zip(positions, full_range)]
+    boards = _boards([False] * MOTOR_BOARDS, steps, steps, full_range,
+                     [0] * LEAF_COUNT, [0.0] * LEAF_COUNT)
+    return ControllerState(boards, relay_on=False, clock=0.0, step_rate=profile.step_rate)
+
+
+def _boards(powered, current, target, full_range, rotations, carry) -> tuple[BoardState, ...]:
+    """The six boards of a snapshot from one power flag per motor board and
+    per-leaf channel values: leaf ``2*b + c`` is channel ``c`` of board ``b``."""
+    channels = list(map(LeafChannel, current, target, full_range, rotations, carry))
+    pairs = zip(channels[0::2], channels[1::2])
+    return (*map(BoardState, range(MOTOR_BOARDS), pairs, powered), _LED)
 
 
 def leaf_positions(ctrl: ControllerState) -> list[LeafPosition]:
@@ -386,22 +385,10 @@ def _advance(
         if duration is None:
             break
 
-    packed = iter(
-        LeafChannel(step, goal, channel.steps_full_range, count, rest)
-        for channel, step, goal, count, rest in zip(channels, current, target, rotations, carry)
-    )
-    boards = tuple(
-        replace(board, channels=tuple(next(packed) for _ in board.channels), powered=on)
-        for board, on in zip(motor, powered)
-    )
-    return replace(
-        ctrl,
-        boards=boards + ctrl.boards[MOTOR_BOARDS:],
-        relay_on=relay_on,
-        clock=clock,
-        pending=pending[dispatched:],
-        event_log=ctrl.event_log + tuple(events),
-    )
+    full_range = [channel.steps_full_range for channel in channels]
+    boards = _boards(powered, current, target, full_range, rotations, carry)
+    return ControllerState(boards, relay_on, clock, step_rate,
+                           ctrl.event_log + tuple(events), pending[dispatched:])
 
 
 def _due_before(new_clock: float) -> float:

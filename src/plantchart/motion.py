@@ -21,7 +21,7 @@ import enum
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .encoder import POSITION_MAX, POSITION_MIN, LeafPosition
 from .series import FIRST_HOUR
@@ -326,11 +326,9 @@ def profile_from_json(text: str) -> DeviceProfile:
         raise ValueError("JSON nested too deeply") from None
     if not isinstance(payload, dict):
         raise ValueError("expected a JSON object")
+    defaulted = [f.name for f in fields(DeviceProfile) if f.default is not MISSING]
     return DeviceProfile(
         name=payload.get("name"),
         modality=Modality(payload.get("modality", "physical")),
-        steps_full_range=payload.get("steps_full_range", [STEPS_DEFAULT] * LEAF_COUNT),
-        step_rate=payload.get("step_rate", 120.0),
-        per_rate_frame_time=payload.get("per_rate_frame_time", 2.0),
-        reset_before_next_variation=payload.get("reset_before_next_variation", False),
+        **{name: payload[name] for name in defaulted if name in payload},
     )

@@ -152,7 +152,6 @@ class ChartScene:
     style: ChartStyle
     dims: ChartDimensions
     hours: tuple[HourSlot, ...]
-    extents: tuple[float, ...]
     trunk: GlyphPath
     anchors: tuple[Anchor, ...]
     glyphs: tuple[Glyph, ...]
@@ -210,7 +209,6 @@ def layout_extents(
         style=style,
         dims=dims,
         hours=tuple(hours),
-        extents=tuple(extents),
         trunk=trunk,
         anchors=tuple(anchors),
         glyphs=tuple(glyphs),
@@ -310,11 +308,15 @@ def _bar_paths(point, extent, dims, slot) -> tuple[GlyphPath, ...]:
     ax, ay = point
     length = dims.extent_cm(extent)
     half = BAR_THICKNESS_RATIO * slot / 2
-    rect = GlyphPath(
+    return (_rect(ax, ay, length, half),)
+
+
+def _rect(ax, ay, length, half) -> GlyphPath:
+    """The closed rectangle ``length`` cm right of ``(ax, ay)``, ``half`` cm each way of it."""
+    return GlyphPath(
         ((ax, ay - half), (ax + length, ay - half), (ax + length, ay + half), (ax, ay + half)),
         closed=True,
     )
-    return (rect,)
 
 
 def _bamboo_paths(point, extent, dims, slot) -> tuple[GlyphPath, ...]:
@@ -323,11 +325,7 @@ def _bamboo_paths(point, extent, dims, slot) -> tuple[GlyphPath, ...]:
     ax, ay = point
     length = dims.extent_cm(extent)
     half = BAR_THICKNESS_RATIO * slot * 0.35
-    stick = GlyphPath(
-        ((ax, ay - half), (ax + length, ay - half), (ax + length, ay + half), (ax, ay + half)),
-        closed=True,
-    )
-    paths = [stick]
+    paths = [_rect(ax, ay, length, half)]
     tick = half * 0.45
     for u in (1 / 3, 2 / 3):
         x = ax + length * u

@@ -150,7 +150,7 @@ class ForecastService:
 
     profile: DeviceProfile
     mode: EncodingMode = EncodingMode.PEAK_RELATIVE
-    tick: float = 0.01
+    tick: float = device.DEFAULT_TICK
     controller: device.ControllerState = field(init=False)
     accepted: int = field(init=False, default=0)
     displayed: int = field(init=False, default=0)

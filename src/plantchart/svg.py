@@ -129,19 +129,9 @@ def _serializer(scene: ChartScene, canvas: tuple[int, int]):
     return head, glyph_text, "".join(labels) + "</svg>\n"
 
 
-def render_frames(
-    source: FrameTimeline | MotionPlan,
-    hours: list[int],
-    style: ChartStyle,
-    dims: ChartDimensions = DEFAULT_DIMENSIONS,
-    canvas: tuple[int, int] = DEFAULT_CANVAS,
-    fps: float = 4.0,
-    initial_positions: list[int] | None = None,
-    full_extension: float | None = None,
-) -> list[str]:
-    """Every document of :func:`iter_frames`, in one list."""
-    return list(iter_frames(source, hours, style, dims, canvas, fps,
-                            initial_positions, full_extension))
+def render_frames(*args, **kwargs) -> list[str]:
+    """Every document of :func:`iter_frames` for the same arguments, in one list."""
+    return list(iter_frames(*args, **kwargs))
 
 
 def iter_frames(
