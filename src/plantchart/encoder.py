@@ -61,18 +61,23 @@ class FlatVariationError(EncodingDomainError):
 
 
 def encode_relative(rate: Rate, peak_rate: Rate) -> LeafPosition:
-    """Encode a rate relative to the peak rate of its variation."""
+    """Encode a rate in ``[0, peak_rate]`` relative to the finite peak rate
+    of its variation."""
     if peak_rate <= 0.0:
         raise FlatVariationError("peak rate is zero; flat variations cannot be peak-normalized")
+    if not math.isfinite(peak_rate):
+        raise ValueError(f"peak rate must be a finite number, got {peak_rate}")
     if rate > peak_rate:
         raise ValueError(f"rate {rate} exceeds peak rate {peak_rate}")
+    if not rate >= 0.0:  # NaN too
+        raise ValueError(f"rate {rate} out of range [0.0, {peak_rate}]")
+    # The ratio is in [0, 1], so one of the bins takes it.
     ratio = rate / peak_rate
     if abs(ratio - 1.0) <= PEAK_RATIO_TOLERANCE:
         return 10
     for upper, position in _RELATIVE_BINS:
         if ratio <= upper:
             return position
-    return 7
 
 
 def encode_absolute(rate: Rate) -> LeafPosition:

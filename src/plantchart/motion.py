@@ -32,6 +32,10 @@ MAX_DEVICE_HOUR = FIRST_HOUR + LEAF_COUNT - 1
 STEPS_MIN = 185
 STEPS_MAX = 230
 STEPS_DEFAULT = 216
+#: Most frames one animation may have, whether a plan sampled at a frame
+#: rate or a low-fidelity timeline.  A 10-hour PLANTSCREEN wipe plus show
+#: lasts 40 s, which at 60 fps is 2,400 frames: it still renders.
+MAX_FRAMES = 3000
 
 
 class Modality(enum.Enum):
@@ -53,6 +57,8 @@ class DeviceProfile:
     def __post_init__(self):
         if not (isinstance(self.name, str) and self.name):
             raise ValueError(f"name must be a non-empty string, got {self.name!r}")
+        if not isinstance(self.modality, Modality):
+            raise ValueError(f"modality must be a Modality, got {self.modality!r}")
         if not isinstance(self.reset_before_next_variation, bool):
             raise ValueError(
                 "reset_before_next_variation must be true or false, "
@@ -277,10 +283,21 @@ def lowfi_series_timeline(
     extension_deltas: list[float], tick_step: float = 20.0, tick: float = 0.32
 ) -> FrameTimeline:
     """Multi-channel variant of :func:`lowfi_timeline`: every channel steps
-    together, each clamped at its own target extension."""
+    together, each clamped at its own target extension.  Deltas must be
+    finite and non-negative, ``tick_step`` finite and positive, and the
+    timeline at most :data:`MAX_FRAMES` frames long; anything else raises
+    ``ValueError`` before a frame is made."""
+    if not all(map(_is_finite, extension_deltas)):
+        raise ValueError("extension deltas must be finite numbers")
     if any(d < 0 for d in extension_deltas):
         raise ValueError("extension deltas must be non-negative")
-    count = max((math.ceil(d / tick_step) for d in extension_deltas), default=0)
+    if not (_is_finite(tick_step) and tick_step > 0):
+        raise ValueError(f"tick_step must be a finite number > 0, got {tick_step!r}")
+    peak = max(extension_deltas, default=0)
+    if peak / tick_step > MAX_FRAMES:  # the frame count, its ceiling, is then above it too
+        raise ValueError(
+            f"a delta of {peak} in steps of {tick_step} is more than {MAX_FRAMES} frames")
+    count = math.ceil(peak / tick_step)
     frames = tuple(
         TimelineFrame(
             (k + 1) * tick,
@@ -310,22 +327,44 @@ def plan_to_json(plan: MotionPlan) -> str:
 
 
 def plan_from_json(text: str) -> MotionPlan:
-    payload = json.loads(text)
-    commands = tuple(
-        MotionCommand(c["leaf"], c["from"], c["to"], c["start_time"], c["duration"])
-        for c in payload["commands"]
-    )
-    return MotionPlan(payload["profile"], commands, payload["total_duration"])
+    """Parse a plan document (:func:`plan_to_json`'s shape).  A missing or
+    mistyped field raises ``ValueError`` naming it; :class:`MotionPlan`
+    checks the values."""
+    payload = _json_object(text)
+    commands = _field(payload, "commands")
+    if not isinstance(commands, list):
+        raise ValueError(f"commands must be a list, got {type(commands).__name__}")
+    parsed = []
+    for index, command in enumerate(commands):
+        where = f"commands[{index}]"
+        if not isinstance(command, dict):
+            raise ValueError(f"{where} must be an object, got {type(command).__name__}")
+        names = ("leaf", "from", "to", "start_time", "duration")
+        parsed.append(MotionCommand(*(_field(command, name, where + ".") for name in names)))
+    return MotionPlan(_field(payload, "profile"), tuple(parsed), _field(payload, "total_duration"))
 
 
-def profile_from_json(text: str) -> DeviceProfile:
-    """Parse a custom profile document (the builtin profiles' JSON shape)."""
+def _field(document: dict, name: str, where: str = ""):
+    try:
+        return document[name]
+    except KeyError:
+        raise ValueError(f"missing field {where}{name}") from None
+
+
+def _json_object(text: str) -> dict:
+    """``text`` parsed as a JSON object; anything else raises ``ValueError``."""
     try:
         payload = json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
     if not isinstance(payload, dict):
         raise ValueError("expected a JSON object")
+    return payload
+
+
+def profile_from_json(text: str) -> DeviceProfile:
+    """Parse a custom profile document (the builtin profiles' JSON shape)."""
+    payload = _json_object(text)
     defaulted = [f.name for f in fields(DeviceProfile) if f.default is not MISSING]
     return DeviceProfile(
         name=payload.get("name"),

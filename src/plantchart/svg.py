@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 
-from .motion import FrameTimeline, MotionPlan, leaf_for_hour
+from .motion import MAX_FRAMES, FrameTimeline, MotionPlan, leaf_for_hour
 from .render import (
     DEFAULT_DIMENSIONS,
     Anchoring,
@@ -53,9 +53,6 @@ LABEL_FILL = "#3d3325"
 
 DEFAULT_CANVAS = (480, 640)
 MARGIN_RATIO = 0.06
-#: Most frames one plan may be sampled into.  A 10-hour PLANTSCREEN wipe
-#: plus show lasts 40 s, which at 60 fps is 2,400 frames: it still renders.
-MAX_FRAMES = 3000
 
 
 def render_svg(scene: ChartScene, canvas: tuple[int, int] = DEFAULT_CANVAS) -> str:

@@ -45,12 +45,23 @@ class TestEncodeRelative:
             assert encode_relative(k / 1000, 1.0) == relative_position_from_thousandths(k), k
 
     def test_flat_variation_rejected(self):
-        with pytest.raises(FlatVariationError):
+        with pytest.raises(FlatVariationError, match="^peak rate is zero"):
             encode_relative(0.0, 0.0)
 
     def test_rate_above_peak_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^rate 0.9 exceeds peak rate 0.8$"):
             encode_relative(0.9, 0.8)
+
+    @pytest.mark.parametrize("rate, peak, message", [
+        (float("nan"), 1.0, r"^rate nan out of range \[0.0, 1.0\]$"),
+        (-0.5, 1.0, r"^rate -0.5 out of range \[0.0, 1.0\]$"),
+        (0.5, float("nan"), "^peak rate must be a finite number, got nan$"),
+        (0.5, float("inf"), "^peak rate must be a finite number, got inf$"),
+        (float("inf"), float("inf"), "^peak rate must be a finite number, got inf$"),
+    ])
+    def test_rate_outside_zero_to_a_finite_peak_rejected(self, rate, peak, message):
+        with pytest.raises(ValueError, match=message):
+            encode_relative(rate, peak)
 
     def test_near_peak_tolerance(self):
         assert encode_relative(1.0 - 1e-12, 1.0) == 10

@@ -3,6 +3,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+import plantchart.motion as motion
+
 from oracles import reference_plan
 from strategies import position_vectors
 from plantchart.motion import (
@@ -24,6 +26,7 @@ from plantchart.motion import (
     profile_from_json,
     transition_plan,
 )
+from plantchart.svg import MAX_FRAMES
 
 
 class TestPlanPhysical:
@@ -189,6 +192,31 @@ class TestLowfiTimeline:
         assert timeline.frames[-1].extensions == (100.0, 30.0, 0.0)
 
 
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((float("inf"),), {}, "^extension deltas must be finite numbers$"),
+        ((float("nan"),), {}, "^extension deltas must be finite numbers$"),
+        ((1e308,), {"tick_step": 1e-10}, f"more than {MAX_FRAMES} frames$"),
+        ((MAX_FRAMES * 20.0 + 1.0,), {}, f"more than {MAX_FRAMES} frames$"),
+        ((100.0,), {"tick_step": 0.0}, "^tick_step must be a finite number > 0, got 0.0$"),
+        ((100.0,), {"tick_step": -20.0}, "^tick_step must be a finite number > 0, got -20.0$"),
+        ((100.0,), {"tick_step": float("nan")}, "^tick_step must be a finite number > 0"),
+        ((100.0,), {"tick_step": float("inf")}, "^tick_step must be a finite number > 0"),
+    ])
+    def test_lowfi_timeline_refuses_before_making_a_frame(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            lowfi_timeline(*args, **kwargs)
+
+    def test_multi_channel_refuses_a_negative_or_infinite_delta(self):
+        with pytest.raises(ValueError, match="^extension deltas must be non-negative$"):
+            lowfi_series_timeline([100.0, -1.0])
+        with pytest.raises(ValueError, match="^extension deltas must be finite numbers$"):
+            lowfi_series_timeline([100.0, float("inf")])
+
+    def test_the_frame_limit_is_motions(self):
+        assert motion.MAX_FRAMES == MAX_FRAMES
+        assert len(lowfi_timeline(MAX_FRAMES * 20.0)) == MAX_FRAMES
+
+
 class TestPlanSerialization:
     def test_json_round_trip(self):
         plan = plan_for_profile([0, 3, 10, 5], [0, 0, 0, 0], PLANTFORM)
@@ -244,6 +272,19 @@ class TestPlanSerialization:
         with pytest.raises(ValueError, match="command 0 \\(leaf 1\\): target must be a number"):
             plan_from_json(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("{}", "^missing field commands$"),
+        ("[]", "^expected a JSON object$"),
+        ('{"commands": 5}', "^commands must be a list, got int$"),
+        ('{"commands": [5]}', r"^commands\[0\] must be an object, got int$"),
+        ('{"commands": [{"leaf": 0}]}', r"^missing field commands\[0\].from$"),
+        ('{"commands": []}', "^missing field profile$"),
+        ('{"commands": [], "profile": "p"}', "^missing field total_duration$"),
+    ])
+    def test_a_malformed_plan_document_names_its_field(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            plan_from_json(text)
+
     def test_plan_json_with_nan_start_time_is_rejected(self):
         text = plan_to_json(plan_for_profile([0, 3], [0, 0], PLANTFORM)).replace(
             '"start_time": 0.0', '"start_time": NaN')
@@ -267,3 +308,8 @@ class TestProfileFromJson:
         })
         assert profile_from_json(text) == DeviceProfile(
             "bench", Modality.GRAPHICAL, tuple(steps), 99.5, 1.25, True)
+
+    @pytest.mark.parametrize("modality", ["physical", None])
+    def test_a_modality_that_is_not_a_modality_is_refused(self, modality):
+        with pytest.raises(ValueError, match=f"^modality must be a Modality, got {modality!r}$"):
+            DeviceProfile("x", modality)
