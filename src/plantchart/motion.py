@@ -334,12 +334,12 @@ def plan_from_json(text: str) -> MotionPlan:
     commands = _field(payload, "commands")
     if not isinstance(commands, list):
         raise ValueError(f"commands must be a list, got {type(commands).__name__}")
+    names = ("leaf", "from", "to", "start_time", "duration")
     parsed = []
     for index, command in enumerate(commands):
         where = f"commands[{index}]"
         if not isinstance(command, dict):
             raise ValueError(f"{where} must be an object, got {type(command).__name__}")
-        names = ("leaf", "from", "to", "start_time", "duration")
         parsed.append(MotionCommand(*(_field(command, name, where + ".") for name in names)))
     return MotionPlan(_field(payload, "profile"), tuple(parsed), _field(payload, "total_duration"))
 
