@@ -287,8 +287,7 @@ def cmd_simulate(args) -> int:
         service.display_series(series)
     else:
         variation = _pick_variation(segment_variations(series), args.variation_index)
-        plan = serve.plan_variation(series, variation, service.mode, profile)
-        service.controller = device.run_plan(service.controller, plan, dt=args.tick)
+        service.play(serve.plan_variation(series, variation, service.mode, profile))
     _emit(service.event_log_ndjson(), args.out)
     if args.out is not None:
         positions = device.leaf_positions(service.controller)

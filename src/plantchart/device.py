@@ -9,13 +9,21 @@ in :mod:`plantchart.protocol`.  A relay gates power to the motor boards;
 the coordinator and the LEDs stay powered.  Because the screws retain
 cable tension, unpowered channels hold their position exactly.
 
-The simulator is a single state machine advanced by explicit ticks.  Every
-operation returns a fresh :class:`ControllerState`; one advancing context
-owns the latest state while readers are free to inspect older snapshots and
-the append-only event log.  :func:`tick` advances one tick; :func:`run_plan`
-runs all the ticks of a plan internally, on plain per-leaf values, and
-returns one snapshot.  Both share one advance loop, so a plan stepped with
-:func:`tick` ends in the same state and log bytes as :func:`run_plan`.
+The simulator is a single state machine advanced by explicit ticks.  Its
+state lives in one private mutable core, :class:`_Core`: per-leaf lists of
+step counters, targets, full ranges, rotations and sub-step carries, the
+board power flags, the relay, the clock, the step rate, the pending
+commands and the event log.  A long-lived owner, such as
+:class:`.serve.ForecastService`, keeps one core from plan to plan and builds
+a frozen :class:`ControllerState` snapshot only when one is read.
+:func:`run_plan`, :func:`tick` and :func:`submit_plan` keep the frozen API:
+each builds a core from a snapshot, acts on it and returns the core's
+snapshot, so readers are free to keep older snapshots.  :func:`tick`
+advances one tick and :func:`run_plan` all the ticks of a plan; both share
+one advance loop, so a plan stepped with :func:`tick` ends in the same
+state and log bytes as :func:`run_plan`.  The loop works on locals and
+writes them back to the core only when it completes, so a run that raises
+leaves the core as it was.
 
 The loop runs the ticks in windows that end where the next command
 dispatches.  Within a window the leaves do not interact, so each moving
@@ -32,9 +40,9 @@ import marshal
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, starmap
 
-from .encoder import LeafPosition
+from .encoder import POSITION_MAX, POSITION_MIN, LeafPosition
 from .motion import LEAF_COUNT, DeviceProfile, MotionCommand, MotionPlan
 
 MOTOR_BOARDS = 5
@@ -128,11 +136,17 @@ def initial_state(
     profile: DeviceProfile, positions: list[LeafPosition] | None = None
 ) -> ControllerState:
     """A powered-down controller; ``positions`` preloads the leaves (useful
-    for replay and testing), default fully furled."""
+    for replay and testing), default fully furled.  Each position must be
+    an int in [0, 10]."""
     if positions is None:
         positions = [0] * LEAF_COUNT
     if len(positions) != LEAF_COUNT:
         raise ValueError(f"expected {LEAF_COUNT} leaf positions, got {len(positions)}")
+    for i, position in enumerate(positions):
+        if not (isinstance(position, int) and not isinstance(position, bool)
+                and POSITION_MIN <= position <= POSITION_MAX):
+            raise ValueError(f"positions[{i}] must be an int in "
+                             f"[{POSITION_MIN}, {POSITION_MAX}], got {position!r}")
     full_range = profile.steps_full_range
     steps = [position_to_steps(p, n) for p, n in zip(positions, full_range)]
     boards = _boards([False] * MOTOR_BOARDS, steps, steps, full_range,
@@ -148,46 +162,94 @@ def _boards(powered, current, target, full_range, rotations, carry) -> tuple[Boa
     return (*map(BoardState, range(MOTOR_BOARDS), pairs, powered), _LED)
 
 
+def _steps_to_position(step: int, steps_full_range: int) -> LeafPosition:
+    return _round_half_up(step / steps_full_range * 10)
+
+
 def leaf_positions(ctrl: ControllerState) -> list[LeafPosition]:
     """Per-leaf discrete positions read back from the step counters."""
-    positions = []
-    for board in ctrl.boards[:MOTOR_BOARDS]:
-        for channel in board.channels:
-            positions.append(
-                _round_half_up(channel.current_step / channel.steps_full_range * 10)
+    return [
+        _steps_to_position(channel.current_step, channel.steps_full_range)
+        for board in ctrl.boards[:MOTOR_BOARDS]
+        for channel in board.channels
+    ]
+
+
+class _Core:
+    """The simulator's mutable state, one value per leaf or board in plain
+    lists: leaf ``2*b + c`` is channel ``c`` of motor board ``b``.
+    ``pending`` holds ``(dispatch_time, command)`` pairs in dispatch order,
+    as a plan queues them, and ``events`` the whole event log."""
+
+    __slots__ = ("current", "target", "full_range", "rotations", "carry", "powered",
+                 "relay_on", "clock", "step_rate", "pending", "events")
+
+    def __init__(self, ctrl: ControllerState):
+        motor = ctrl.boards[:MOTOR_BOARDS]
+        channels = [channel for board in motor for channel in board.channels]
+        self.current = [channel.current_step for channel in channels]
+        self.target = [channel.target_step for channel in channels]
+        self.full_range = [channel.steps_full_range for channel in channels]
+        self.rotations = [channel.rotation_count for channel in channels]
+        self.carry = [channel.step_carry for channel in channels]
+        self.powered = [board.powered for board in motor]
+        self.relay_on = ctrl.relay_on
+        self.clock = ctrl.clock
+        self.step_rate = ctrl.step_rate
+        self.pending = [(item.dispatch_time, item.command) for item in ctrl.pending]
+        self.events = list(ctrl.event_log)
+
+    def snapshot(self) -> ControllerState:
+        boards = _boards(self.powered, self.current, self.target, self.full_range,
+                         self.rotations, self.carry)
+        return ControllerState(boards, self.relay_on, self.clock, self.step_rate,
+                               tuple(self.events), tuple(starmap(PendingCommand, self.pending)))
+
+    def positions(self) -> list[LeafPosition]:
+        """:func:`leaf_positions` of the core."""
+        return list(map(_steps_to_position, self.current, self.full_range))
+
+    def submit(self, plan: MotionPlan) -> None:
+        """:func:`submit_plan` on the core."""
+        self.relay_on, self.powered, self.pending, events = _queue(self, plan)
+        self.events += events
+
+    def run(self, plan: MotionPlan, dt: float) -> None:
+        """:func:`run_plan` on the core."""
+        check_dt(dt)
+        deadline = plan.total_duration + (len(plan.commands) + 2) * dt + 1.0
+        if not deadline / dt <= MAX_TICKS:
+            raise SimulationError(
+                f"plan would take more than {MAX_TICKS} ticks of {dt} s to complete"
             )
-    return positions
+        _advance(self, dt, plan.total_duration, deadline, _queue(self, plan))
 
 
 def submit_plan(ctrl: ControllerState, plan: MotionPlan) -> ControllerState:
     """Queue a plan for execution: the relay is energized and each command
     will be dispatched when its start time arrives.  The relay stays on
     until nothing is pending or moving."""
-    queued, events = _queue(ctrl, plan)
-    return replace(queued, event_log=ctrl.event_log + events) if events else queued
+    core = _Core(ctrl)
+    core.submit(plan)
+    return core.snapshot()
 
 
-def _queue(
-    ctrl: ControllerState, plan: MotionPlan
-) -> tuple[ControllerState, tuple[LogEvent, ...]]:
-    """:func:`submit_plan` with its relay-on event returned beside the state
-    instead of appended to its log, so that :func:`run_plan` copies the log
-    once."""
-    if ctrl.busy:
+def _queue(core: _Core, plan: MotionPlan) -> tuple:
+    """The relay, power flags, pending commands and new events that
+    submitting ``plan`` makes, without changing the core.  A plan with
+    commands energizes the relay; it stays on until nothing is pending
+    or moving."""
+    if core.pending or core.current != core.target:
         raise SimulationError("a plan is already executing")
     for cmd in plan.commands:
         if not 0 <= cmd.leaf < LEAF_COUNT:
             raise SimulationError(f"plan references unknown leaf {cmd.leaf}")
-    if not plan.commands:
-        return ctrl, ()
-    pending = tuple(
-        PendingCommand(ctrl.clock + cmd.start_time, cmd) for cmd in plan.commands
-    )
-    if ctrl.relay_on:
-        return replace(ctrl, pending=pending), ()
-    relay = LogEvent(ctrl.clock, None, "relay", (("on", True),))
-    return replace(ctrl, boards=_set_motor_power(ctrl.boards, True), relay_on=True,
-                   pending=pending), (relay,)
+    clock = core.clock
+    pending = [(clock + cmd.start_time, cmd) for cmd in plan.commands]
+    if not pending or core.relay_on:
+        return core.relay_on, core.powered, pending, []
+    relay = LogEvent(clock, None, "relay", (("on", True),))
+    return True, [True] * MOTOR_BOARDS, pending, [relay]
 
 
 def check_dt(dt: float) -> float:
@@ -201,7 +263,10 @@ def tick(ctrl: ControllerState, dt: float) -> ControllerState:
     """Advance the simulation by ``dt`` seconds: dispatch due commands, move
     powered channels toward their targets, emit sensor events, and gate the
     relay off once everything is idle."""
-    return _advance(ctrl, check_dt(dt))
+    check_dt(dt)
+    core = _Core(ctrl)
+    _advance(core, dt)
+    return core.snapshot()
 
 
 def run_plan(
@@ -211,25 +276,21 @@ def run_plan(
     reached and the plan's total duration elapsed).  The ticks run inside
     this call, which returns one snapshot; a plan whose deadline would take
     more than :data:`MAX_TICKS` ticks is refused before the first one."""
-    check_dt(dt)
-    deadline = plan.total_duration + (len(plan.commands) + 2) * dt + 1.0
-    if not deadline / dt <= MAX_TICKS:
-        raise SimulationError(
-            f"plan would take more than {MAX_TICKS} ticks of {dt} s to complete"
-        )
-    queued, events = _queue(ctrl, plan)
-    return _advance(queued, dt, plan.total_duration, deadline, events)
+    core = _Core(ctrl)
+    core.run(plan, dt)
+    return core.snapshot()
 
 
 def _advance(
-    ctrl: ControllerState,
+    core: _Core,
     dt: float,
     duration: float | None = None,
     deadline: float = math.inf,
-    prior: tuple[LogEvent, ...] = (),
-) -> ControllerState:
-    """Tick ``ctrl`` forward on plain per-leaf locals and pack one snapshot.
-    ``prior`` events go into the log ahead of the ticks' own.
+    submitted: tuple | None = None,
+) -> None:
+    """Tick ``core`` forward.  ``submitted``, from :func:`_queue`, replaces
+    the relay, power flags and pending commands before the first tick,
+    and its events go into the log ahead of the ticks' own.
 
     With ``duration`` None this is exactly one tick.  Otherwise ticks run
     until nothing is pending or moving and ``duration`` has elapsed; the
@@ -241,32 +302,29 @@ def _advance(
     the leaves do not interact and each leaf runs its whole window in one
     loop.  The clock list of a window repeats the per-tick ``clock + dt``
     additions, and each leaf repeats the per-tick ``budget_per_tick +
-    carry`` and ``budget - steps`` steps, so the snapshot and the log bytes
+    carry`` and ``budget - steps`` steps, so the state and the log bytes
     do not depend on how the ticks are grouped into windows or calls.
     Events go out by tick, then by leaf, with the relay last.  ``pending``
-    is in dispatch order, as :func:`submit_plan` queues it, so the
-    commands due in a tick are the head of what is left.
+    is in dispatch order, so the commands due in a tick are the head of
+    what is left.
     """
-    step_rate = ctrl.step_rate
+    step_rate = core.step_rate
     budget_per_tick = step_rate * dt
     if not math.isfinite(budget_per_tick):
         raise SimulationError(
             f"motion budget per tick (step rate {step_rate} x tick {dt} s) is not finite"
         )
-    motor = ctrl.boards[:MOTOR_BOARDS]
-    powered = [board.powered for board in motor]
-    channels = [channel for board in motor for channel in board.channels]
-    current = [channel.current_step for channel in channels]
-    target = [channel.target_step for channel in channels]
-    rotations = [channel.rotation_count for channel in channels]
-    carry = [channel.step_carry for channel in channels]
-    moving = [leaf for leaf, channel in enumerate(channels) if channel.moving]
-    relay_on = ctrl.relay_on
-    clock = start = ctrl.clock
-    pending = ctrl.pending
+    current = core.current[:]
+    target = core.target[:]
+    rotations = core.rotations[:]
+    carry = core.carry[:]
+    full_range = core.full_range
+    relay_on, powered, pending, events = submitted or (
+        core.relay_on, core.powered, core.pending, [])
+    moving = [leaf for leaf in range(len(current)) if current[leaf] != target[leaf]]
+    clock = start = core.clock
     queued = len(pending)
     dispatched = 0
-    events = list(prior)
 
     def elapsed(c: float) -> float:
         return c - start + _EPS
@@ -277,17 +335,16 @@ def _advance(
         # budget (a negative carry), so completion stays within one tick of
         # the planned schedule.
         due_before = _due_before(clock + dt)
-        if dispatched < queued and pending[dispatched].dispatch_time < due_before:
-            while dispatched < queued and pending[dispatched].dispatch_time < due_before:
-                item = pending[dispatched]
+        if dispatched < queued and pending[dispatched][0] < due_before:
+            while dispatched < queued and pending[dispatched][0] < due_before:
+                dispatch_time, command = pending[dispatched]
                 dispatched += 1
-                leaf = item.command.leaf
+                leaf = command.leaf
                 board_id, channel_id = divmod(leaf, 2)
-                steps = position_to_steps(item.command.target,
-                                          channels[leaf].steps_full_range)
+                steps = position_to_steps(command.target, full_range[leaf])
                 events.append(
                     LogEvent(
-                        item.dispatch_time,
+                        dispatch_time,
                         board_id,
                         "set_target",
                         (
@@ -298,11 +355,11 @@ def _advance(
                         ),
                     )
                 )
-                withheld = max(0.0, item.dispatch_time - clock)
+                withheld = max(0.0, dispatch_time - clock)
                 target[leaf] = steps
                 carry[leaf] = -withheld * step_rate
                 events.append(
-                    LogEvent(item.dispatch_time, board_id, "ack", (("leaf", leaf),))
+                    LogEvent(dispatch_time, board_id, "ack", (("leaf", leaf),))
                 )
             moving = [leaf for leaf in range(len(current)) if current[leaf] != target[leaf]]
 
@@ -313,7 +370,7 @@ def _advance(
             n = 1
         else:
             if dispatched < queued:
-                horizon = pending[dispatched].dispatch_time - clock
+                horizon = pending[dispatched][0] - clock
             else:
                 farthest = max((abs(target[leaf] - current[leaf]) for leaf in moving), default=0)
                 travel_time = farthest / step_rate if step_rate > 0 else math.inf
@@ -321,7 +378,7 @@ def _advance(
             n = int(min(_WINDOW, max(0.0, horizon / dt))) + 2
         clocks = list(accumulate(repeat(dt, n), initial=clock))
         if dispatched < queued:
-            n = bisect_right(clocks, pending[dispatched].dispatch_time, 2, n + 1,
+            n = bisect_right(clocks, pending[dispatched][0], 2, n + 1,
                              key=_due_before) - 1
 
         marks = []  # (tick, leaf, kind): 0 stop sensor, 1 target reached, 2 relay off
@@ -363,7 +420,7 @@ def _advance(
         if not moving and dispatched == queued:
             if relay_on:
                 relay_on = False
-                powered = [False] * len(motor)
+                powered = [False] * MOTOR_BOARDS
                 marks.append((quiet - 1, len(current), 2))
             if duration is not None:
                 n = min(n, bisect_left(clocks, duration, quiet, n + 1, key=elapsed))
@@ -385,10 +442,10 @@ def _advance(
         if duration is None:
             break
 
-    full_range = [channel.steps_full_range for channel in channels]
-    boards = _boards(powered, current, target, full_range, rotations, carry)
-    return ControllerState(boards, relay_on, clock, step_rate,
-                           ctrl.event_log + tuple(events), pending[dispatched:])
+    core.current, core.target, core.rotations, core.carry = current, target, rotations, carry
+    core.powered, core.relay_on, core.clock = powered, relay_on, clock
+    core.pending = pending[dispatched:]
+    core.events += events
 
 
 def _due_before(new_clock: float) -> float:

@@ -145,6 +145,8 @@ class MotionPlan:
         previous = None
         per_leaf_end: dict[int, float] = {}
         for index, cmd in enumerate(self.commands):
+            if not isinstance(cmd.leaf, int) or isinstance(cmd.leaf, bool):
+                raise ValueError(f"command {index}: leaf must be an int, got {cmd.leaf!r}")
             for name in ("source", "target"):
                 value = getattr(cmd, name)
                 if not (_is_number(value) and POSITION_MIN <= value <= POSITION_MAX):
@@ -284,15 +286,17 @@ def lowfi_series_timeline(
 ) -> FrameTimeline:
     """Multi-channel variant of :func:`lowfi_timeline`: every channel steps
     together, each clamped at its own target extension.  Deltas must be
-    finite and non-negative, ``tick_step`` finite and positive, and the
-    timeline at most :data:`MAX_FRAMES` frames long; anything else raises
-    ``ValueError`` before a frame is made."""
+    finite and non-negative, ``tick_step`` and ``tick`` finite and
+    positive, and the timeline at most :data:`MAX_FRAMES` frames long;
+    anything else raises ``ValueError`` before a frame is made."""
     if not all(map(_is_finite, extension_deltas)):
         raise ValueError("extension deltas must be finite numbers")
     if any(d < 0 for d in extension_deltas):
         raise ValueError("extension deltas must be non-negative")
     if not (_is_finite(tick_step) and tick_step > 0):
         raise ValueError(f"tick_step must be a finite number > 0, got {tick_step!r}")
+    if not (_is_finite(tick) and tick > 0):
+        raise ValueError(f"tick must be a finite number > 0, got {tick!r}")
     peak = max(extension_deltas, default=0)
     if peak / tick_step > MAX_FRAMES:  # the frame count, its ceiling, is then above it too
         raise ValueError(

@@ -144,6 +144,8 @@ def plan_variation(
 class ForecastService:
     """Drives one simulated device from a stream of forecast payloads.
 
+    The device's state lives in one simulator core that the service keeps
+    from payload to payload; :attr:`controller` is its snapshot.
     ``rejections`` counts the rejected payloads; ``rejected`` keeps the
     reasons of the latest :data:`REJECTIONS_KEPT` of them, oldest first.
     """
@@ -151,7 +153,6 @@ class ForecastService:
     profile: DeviceProfile
     mode: EncodingMode = EncodingMode.PEAK_RELATIVE
     tick: float = device.DEFAULT_TICK
-    controller: device.ControllerState = field(init=False)
     accepted: int = field(init=False, default=0)
     displayed: int = field(init=False, default=0)
     rejections: int = field(init=False, default=0)
@@ -160,7 +161,16 @@ class ForecastService:
 
     def __post_init__(self):
         device.check_dt(self.tick)
-        self.controller = device.initial_state(self.profile)
+        self._snapshot = device.initial_state(self.profile)
+        self._core = device._Core(self._snapshot)
+
+    @property
+    def controller(self) -> device.ControllerState:
+        """The device's current state, built on the first read after a plan
+        was played and shared by the reads until the next one."""
+        if self._snapshot is None:
+            self._snapshot = self._core.snapshot()
+        return self._snapshot
 
     def handle_payload(self, payload: str | bytes) -> bool:
         """Parse and display one forecast; returns False on rejection."""
@@ -176,13 +186,18 @@ class ForecastService:
     def display_series(self, series: ForecastSeries) -> None:
         """Segment, encode, plan and execute every variation in turn."""
         for variation in segment_variations(series):
-            current = device.leaf_positions(self.controller)
-            plan = plan_variation(series, variation, self.mode, self.profile, current)
-            self.controller = device.run_plan(self.controller, plan, dt=self.tick)
+            current = self._core.positions()
+            self.play(plan_variation(series, variation, self.mode, self.profile, current))
             self.displayed += 1
 
+    def play(self, plan: MotionPlan) -> None:
+        """Play ``plan`` on the device from its current state.  A plan the
+        simulator refuses leaves the device as it was."""
+        self._core.run(plan, self.tick)
+        self._snapshot = None
+
     def event_log_ndjson(self) -> str:
-        return device.events_to_ndjson(self.controller.event_log)
+        return device.events_to_ndjson(self._core.events)
 
 
 def run_service(

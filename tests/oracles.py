@@ -4,14 +4,14 @@ These deliberately take a different route than the library code: the
 segmentation oracle classifies every sample in place instead of walking
 monotone runs, the encoding oracles work on exact integers / decimals
 instead of floats, the simulator oracle rebuilds the frozen controller
-snapshot with ``dataclasses.replace`` on every tick instead of advancing
-plain per-leaf values, the event-log oracle serializes every event whole
-instead of reusing the text of each distinct event head, and the frames
-oracle lays out and serializes every frame whole, formatting each
-coordinate through ``round``, instead of reusing per-anchor glyph text, and
-the leaf layout oracle builds a leaf's midrib and blade as separate point
-tuples and mirrors every path of a left-hand leaf on its own, instead of
-mirroring the blade once and sharing its midrib prefix.
+snapshot with ``dataclasses.replace`` on every submit and tick instead of
+advancing the mutable simulator core, the event-log oracle serializes
+every event whole instead of reusing the text of each distinct event head,
+and the frames oracle lays out and serializes every frame whole, formatting
+each coordinate through ``round``, instead of reusing per-anchor glyph
+text, and the leaf layout oracle builds a leaf's midrib and blade as
+separate point tuples and mirrors every path of a left-hand leaf on its
+own, instead of mirroring the blade once and sharing its midrib prefix.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from plantchart.device import (
     MOTOR_BOARDS,
     ControllerState,
     LogEvent,
+    PendingCommand,
     SimulationError,
     _set_motor_power,
     position_to_steps,
-    submit_plan,
 )
-from plantchart.motion import FrameTimeline, Modality, MotionCommand, MotionPlan
+from plantchart.motion import LEAF_COUNT, FrameTimeline, Modality, MotionCommand, MotionPlan
 from plantchart.protocol import Frame, Opcode, decode_frame, encode_frame
 from plantchart.render import (
     DEFAULT_DIMENSIONS,
@@ -260,12 +260,32 @@ def reference_events_to_ndjson(events) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def reference_submit_plan(ctrl: ControllerState, plan: MotionPlan) -> ControllerState:
+    """The snapshot :func:`plantchart.device.submit_plan` must return: each
+    command pending from the clock plus its start time and, when the plan
+    has commands, the relay and motor boards switched on."""
+    if ctrl.busy:
+        raise SimulationError("a plan is already executing")
+    for cmd in plan.commands:
+        if not 0 <= cmd.leaf < LEAF_COUNT:
+            raise SimulationError(f"plan references unknown leaf {cmd.leaf}")
+    if not plan.commands:
+        return ctrl
+    pending = tuple(PendingCommand(ctrl.clock + cmd.start_time, cmd) for cmd in plan.commands)
+    if ctrl.relay_on:
+        return replace(ctrl, pending=pending)
+    relay = LogEvent(ctrl.clock, None, "relay", (("on", True),))
+    return replace(ctrl, boards=_set_motor_power(ctrl.boards, True), relay_on=True,
+                   pending=pending, event_log=ctrl.event_log + (relay,))
+
+
 def reference_run_plan(
     ctrl: ControllerState, plan: MotionPlan, dt: float = DEFAULT_TICK
 ) -> ControllerState:
-    """Submit ``plan`` and apply :func:`reference_tick` until it has fully
-    played out (all targets reached and the plan's total duration elapsed)."""
-    ctrl = submit_plan(ctrl, plan)
+    """Submit ``plan`` with :func:`reference_submit_plan` and apply
+    :func:`reference_tick` until it has fully played out (all targets
+    reached and the plan's total duration elapsed)."""
+    ctrl = reference_submit_plan(ctrl, plan)
     start = ctrl.clock
     deadline = plan.total_duration + (len(plan.commands) + 2) * dt + 1.0
     while ctrl.pending or ctrl.busy or ctrl.clock - start + _EPS < plan.total_duration:

@@ -1,5 +1,7 @@
+import copy
 import math
 import random
+import re
 
 import pytest
 
@@ -159,6 +161,14 @@ class TestSubmitPlan:
         with pytest.raises(SimulationError):
             submit_plan(ctrl, plan_for_profile([5], [0], BENCH))
 
+    def test_run_plan_on_a_busy_snapshot_is_refused_and_leaves_it_as_it_was(self):
+        ctrl = submit_plan(initial_state(BENCH), plan_for_profile([10], [0], BENCH))
+        ctrl = tick(ctrl, 0.1)
+        before = copy.deepcopy(ctrl)
+        with pytest.raises(SimulationError, match="^a plan is already executing$"):
+            run_plan(ctrl, plan_for_profile([5], [0], BENCH))
+        assert ctrl == before and ctrl.busy
+
 
 class TestEndStateAgreement:
     @pytest.mark.parametrize("profile", [PLANTFORM, CAIRNFORM, PLANTSCREEN])
@@ -228,6 +238,12 @@ class TestLeafPositions:
     def test_extremes(self):
         ctrl = initial_state(BENCH, [0, 10] + [0] * 8)
         assert leaf_positions(ctrl)[:2] == [0, 10]
+
+    @pytest.mark.parametrize("bad", [11, -1, True, 2.5, math.nan])
+    def test_preloaded_positions_must_be_ints_from_0_to_10(self, bad):
+        message = rf"^positions\[3\] must be an int in \[0, 10\], got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            initial_state(BENCH, [0, 0, 0, bad] + [0] * 6)
 
     def test_midpoint_rounds_half_up(self):
         ctrl = initial_state(BENCH)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -201,6 +202,10 @@ class TestLowfiTimeline:
         ((100.0,), {"tick_step": -20.0}, "^tick_step must be a finite number > 0, got -20.0$"),
         ((100.0,), {"tick_step": float("nan")}, "^tick_step must be a finite number > 0"),
         ((100.0,), {"tick_step": float("inf")}, "^tick_step must be a finite number > 0"),
+        ((100.0,), {"tick": float("nan")}, "^tick must be a finite number > 0, got nan$"),
+        ((100.0,), {"tick": float("inf")}, "^tick must be a finite number > 0, got inf$"),
+        ((100.0,), {"tick": 0}, "^tick must be a finite number > 0, got 0$"),
+        ((100.0,), {"tick": -1}, "^tick must be a finite number > 0, got -1$"),
     ])
     def test_lowfi_timeline_refuses_before_making_a_frame(self, args, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -284,6 +289,14 @@ class TestPlanSerialization:
     def test_a_malformed_plan_document_names_its_field(self, text, message):
         with pytest.raises(ValueError, match=message):
             plan_from_json(text)
+
+    @pytest.mark.parametrize("leaf", [True, 1.5, "a", [0]])
+    def test_a_plan_document_whose_leaf_is_not_an_int_is_rejected(self, leaf):
+        document = json.loads(plan_to_json(plan_for_profile([3], [0], PLANTFORM)))
+        document["commands"][0]["leaf"] = leaf
+        with pytest.raises(ValueError, match=f"^command 0: leaf must be an int, got "
+                                             f"{re.escape(repr(leaf))}$"):
+            plan_from_json(json.dumps(document))
 
     def test_plan_json_with_nan_start_time_is_rejected(self):
         text = plan_to_json(plan_for_profile([0, 3], [0, 0], PLANTFORM)).replace(

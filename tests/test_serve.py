@@ -6,7 +6,15 @@ import pytest
 from plantchart import device
 from plantchart.encoder import EncodingMode
 from plantchart.fixtures import get_fixture
-from plantchart.motion import CAIRNSCREEN, PLANTFORM, PLANTSCREEN, DeviceProfile, Modality
+from plantchart.motion import (
+    CAIRNSCREEN,
+    PLANTFORM,
+    PLANTSCREEN,
+    DeviceProfile,
+    Modality,
+    MotionCommand,
+    MotionPlan,
+)
 from plantchart.serve import (
     REJECTIONS_KEPT,
     FileFeed,
@@ -184,6 +192,26 @@ class TestForecastService:
         assert accepted == 0
         assert len(service.rejected) == 2
         assert all("ticks" in reason for reason in service.rejected)
+        assert service.controller == device.initial_state(slow)
+        assert service.event_log_ndjson() == ""
+
+    def test_a_plan_that_fails_mid_run_leaves_the_device_as_it_was(self):
+        # Motors at one step a second keep up with a slow hand-made plan
+        # but not with the short frame times of a graphical plan.
+        quick = DeviceProfile("quick", Modality.GRAPHICAL, step_rate=1.0,
+                              per_rate_frame_time=0.1)
+        service = ForecastService(quick, tick=0.5)
+        service.play(MotionPlan("quick", (MotionCommand(0, 0, 1, 0.0, 30.0),), 30.0))
+        before, log = service.controller, service.event_log_ndjson()
+        assert device.leaf_positions(before)[0] == 1
+        assert not service.handle_payload(payload_for())
+        assert service.rejected[-1] == "plan failed to complete in simulated time"
+        assert service.controller == before
+        assert service.event_log_ndjson() == log
+        # The next plan starts from the state before the refused one.
+        back = MotionPlan("quick", (MotionCommand(0, 1, 0, 0.0, 30.0),), 30.0)
+        service.play(back)
+        assert service.controller == device.run_plan(before, back, 0.5)
 
     def test_absolute_mode_service(self):
         service = ForecastService(CAIRNSCREEN, EncodingMode.ABSOLUTE_LINEAR, tick=0.5)

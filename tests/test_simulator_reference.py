@@ -1,9 +1,10 @@
 """The simulator against its frozen-snapshot reference (``oracles``).
 
-``device.run_plan`` and ``device.tick`` advance plain per-leaf values; the
-reference rebuilds every dataclass on every tick.  Both must end in equal
-controller states and byte-identical NDJSON event logs, ours written by
-``device.events_to_ndjson`` and the reference's by its oracle.
+``device.run_plan``, ``device.tick`` and ``ForecastService`` advance the
+mutable simulator core; the reference rebuilds every dataclass on every
+tick.  Both must end in equal controller states and byte-identical NDJSON
+event logs, ours written by ``device.events_to_ndjson`` and the
+reference's by its oracle.
 """
 
 import json
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import reference_events_to_ndjson, reference_run_plan, reference_tick
 from plantchart import device
+from plantchart.encoder import EncodingMode
 from plantchart.motion import (
     BUILTIN_PROFILES,
     CAIRNFORM,
@@ -26,7 +28,8 @@ from plantchart.motion import (
     plan_for_profile,
     transition_plan,
 )
-from plantchart.serve import ForecastService
+from plantchart.serve import ForecastService, plan_variation
+from plantchart.series import load_series, segment_variations
 
 
 def assert_same_run(ours, reference):
@@ -86,24 +89,43 @@ def forecast_stream(seed, count=12):
     return payloads
 
 
+def reference_service(profile, payloads):
+    """Play ``payloads`` the way ``ForecastService.handle_payload`` does, on
+    reference snapshots: each variation planned from ``leaf_positions`` of
+    the last snapshot and played by ``reference_run_plan``.  Returns the
+    last snapshot, the outcomes, the rejection reasons and the variations
+    displayed."""
+    ctrl = device.initial_state(profile)
+    outcomes, rejected, displayed = [], [], 0
+    for payload in payloads:
+        try:
+            series = load_series(payload)
+            for variation in segment_variations(series):
+                current = device.leaf_positions(ctrl)
+                plan = plan_variation(series, variation, EncodingMode.PEAK_RELATIVE, profile,
+                                      current)
+                ctrl = reference_run_plan(ctrl, plan, device.DEFAULT_TICK)
+                displayed += 1
+        except (ValueError, device.SimulationError) as exc:
+            rejected.append(str(exc))
+            outcomes.append(False)
+        else:
+            outcomes.append(True)
+    return ctrl, outcomes, rejected, displayed
+
+
 @pytest.mark.parametrize("profile", [PLANTFORM, CAIRNFORM, PLANTSCREEN], ids=lambda p: p.name)
-def test_service_stream_matches_the_reference(profile, monkeypatch):
+def test_service_stream_matches_the_reference(profile):
     payloads = forecast_stream(hash(profile.name) & 0xFFFF)
-
-    def play():
-        service = ForecastService(profile)
-        outcomes = [service.handle_payload(p) for p in payloads]
-        return service, outcomes
-
-    ours, our_outcomes = play()
-    monkeypatch.setattr(device, "run_plan", reference_run_plan)
-    reference, reference_outcomes = play()
-    assert our_outcomes == reference_outcomes
-    assert any(our_outcomes) and not all(our_outcomes)
-    assert ours.displayed == reference.displayed > len(payloads) // 2
-    assert ours.rejected == reference.rejected
-    assert_same_run(ours.controller, reference.controller)
-    assert ours.event_log_ndjson() == reference.event_log_ndjson()
+    ours = ForecastService(profile)
+    our_outcomes = [ours.handle_payload(p) for p in payloads]
+    reference, outcomes, rejected, displayed = reference_service(profile, payloads)
+    assert our_outcomes == outcomes
+    assert any(outcomes) and not all(outcomes)
+    assert ours.displayed == displayed > len(payloads) // 2
+    assert list(ours.rejected) == rejected
+    assert_same_run(ours.controller, reference)
+    assert ours.event_log_ndjson() == reference_events_to_ndjson(reference.event_log)
 
 
 @pytest.mark.parametrize("dt", [0.3, 1.8])
