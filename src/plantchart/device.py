@@ -39,6 +39,7 @@ import json
 import marshal
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from itertools import accumulate, repeat, starmap
 
@@ -454,7 +455,7 @@ def _due_before(new_clock: float) -> float:
     return new_clock - _EPS
 
 
-def events_to_ndjson(events: tuple[LogEvent, ...]) -> str:
+def events_to_ndjson(events: Iterable[LogEvent]) -> str:
     """Serialize the event log as newline-delimited JSON records.
 
     Each line is ``json.dumps`` with sorted keys of the record ``{"t": t,
