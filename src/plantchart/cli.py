@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
-from . import device, fixtures, serve
+from . import _checks, device, fixtures, serve
 from .encoder import (
     EncodingDomainError,
     EncodingMode,
@@ -206,10 +205,7 @@ def _resolve_dims(spec: str) -> ChartDimensions:
 def _pick_variation(variations: list[Variation], index: int) -> Variation:
     if not variations:
         raise EncodingDomainError("the series is flat: it contains no variation")
-    if not 0 <= index < len(variations):
-        raise CliError(
-            f"variation index {index} out of range; the series has {len(variations)}"
-        )
+    _checks.within("variation index", (index,), 0, len(variations) - 1)
     return variations[index]
 
 
@@ -340,9 +336,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    if not (math.isfinite(args.poll_timeout) and args.poll_timeout >= 0):
-        raise CliError(f"poll timeout must be a finite number of seconds >= 0, "
-                       f"got {args.poll_timeout}")
+    _checks.non_negative("poll timeout", args.poll_timeout)
     profile = _resolve_profile(args.profile)
     service = serve.ForecastService(profile, EncodingMode(args.mode), tick=args.tick)
     if args.log is not None:

@@ -43,6 +43,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from itertools import accumulate, repeat, starmap
 
+from . import _checks
 from .encoder import POSITION_MAX, POSITION_MIN, LeafPosition
 from .motion import LEAF_COUNT, DeviceProfile, MotionCommand, MotionPlan
 
@@ -144,10 +145,7 @@ def initial_state(
     if len(positions) != LEAF_COUNT:
         raise ValueError(f"expected {LEAF_COUNT} leaf positions, got {len(positions)}")
     for i, position in enumerate(positions):
-        if not (isinstance(position, int) and not isinstance(position, bool)
-                and POSITION_MIN <= position <= POSITION_MAX):
-            raise ValueError(f"positions[{i}] must be an int in "
-                             f"[{POSITION_MIN}, {POSITION_MAX}], got {position!r}")
+        _checks.an_int(f"positions[{i}]", position, POSITION_MIN, POSITION_MAX)
     full_range = profile.steps_full_range
     steps = [position_to_steps(p, n) for p, n in zip(positions, full_range)]
     boards = _boards([False] * MOTOR_BOARDS, steps, steps, full_range,
@@ -254,10 +252,9 @@ def _queue(core: _Core, plan: MotionPlan) -> tuple:
 
 
 def check_dt(dt: float) -> float:
-    """Return ``dt`` if it is a finite number of seconds above zero."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"tick must be a finite number of seconds > 0, got {dt}")
-    return dt
+    """Return ``dt`` if it is a finite number of seconds > 0, which a ``bool``
+    is not; raise ``ValueError`` naming the tick otherwise."""
+    return _checks.positive("tick", dt)
 
 
 def tick(ctrl: ControllerState, dt: float) -> ControllerState:
@@ -311,7 +308,7 @@ def _advance(
     """
     step_rate = core.step_rate
     budget_per_tick = step_rate * dt
-    if not math.isfinite(budget_per_tick):
+    if not _checks.is_finite(budget_per_tick):
         raise SimulationError(
             f"motion budget per tick (step rate {step_rate} x tick {dt} s) is not finite"
         )

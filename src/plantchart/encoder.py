@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import math
 
+from . import _checks
 from .series import ForecastSeries, Rate, Variation
 
 LeafPosition = int
@@ -65,12 +66,10 @@ def encode_relative(rate: Rate, peak_rate: Rate) -> LeafPosition:
     of its variation."""
     if peak_rate <= 0.0:
         raise FlatVariationError("peak rate is zero; flat variations cannot be peak-normalized")
-    if not math.isfinite(peak_rate):
-        raise ValueError(f"peak rate must be a finite number, got {peak_rate}")
+    _checks.finite("peak rate", peak_rate)
     if rate > peak_rate:
         raise ValueError(f"rate {rate} exceeds peak rate {peak_rate}")
-    if not rate >= 0.0:  # NaN too
-        raise ValueError(f"rate {rate} out of range [0.0, {peak_rate}]")
+    _checks.within("rate", (rate,), 0.0, peak_rate)
     # The ratio is in [0, 1], so one of the bins takes it.
     ratio = rate / peak_rate
     if abs(ratio - 1.0) <= PEAK_RATIO_TOLERANCE:
@@ -82,15 +81,13 @@ def encode_relative(rate: Rate, peak_rate: Rate) -> LeafPosition:
 
 def encode_absolute(rate: Rate) -> LeafPosition:
     """Half-up rounding of the rate over eleven uniform bins."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate {rate} out of range [0.0, 1.0]")
+    _checks.within("rate", (rate,), 0.0, 1.0)
     return math.floor(rate * 10 + 0.5)
 
 
 def encode_six_step(rate: Rate) -> int:
     """The six-position unfurl scale: 0 and one step per started 20 %."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate {rate} out of range [0.0, 1.0]")
+    _checks.within("rate", (rate,), 0.0, 1.0)
     if rate <= 0.0:
         return 0
     return math.ceil(rate * 5)
@@ -139,13 +136,11 @@ def position_rate_interval(
             raise ValueError(f"position {position} is not emittable in peak-relative mode")
         return table[position]
     if mode is EncodingMode.ABSOLUTE_LINEAR:
-        if not POSITION_MIN <= position <= POSITION_MAX:
-            raise ValueError(f"position {position} out of range [0, 10]")
+        _checks.within("position", (position,), POSITION_MIN, POSITION_MAX)
         lo = max(0.0, (position - 0.5) / 10)
         hi = min(1.0, (position + 0.5) / 10)
         return (lo, hi)
-    if not 0 <= position <= 5:
-        raise ValueError(f"step {position} out of range [0, 5]")
+    _checks.within("step", (position,), 0, 5)
     if position == 0:
         return (0.0, 0.0)
     return ((position - 1) * 0.2, position * 0.2)

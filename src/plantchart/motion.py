@@ -23,6 +23,7 @@ import math
 import random
 from dataclasses import MISSING, dataclass, fields, replace
 
+from . import _checks
 from .encoder import POSITION_MAX, POSITION_MIN, LeafPosition
 from .series import FIRST_HOUR
 
@@ -59,11 +60,7 @@ class DeviceProfile:
             raise ValueError(f"name must be a non-empty string, got {self.name!r}")
         if not isinstance(self.modality, Modality):
             raise ValueError(f"modality must be a Modality, got {self.modality!r}")
-        if not isinstance(self.reset_before_next_variation, bool):
-            raise ValueError(
-                "reset_before_next_variation must be true or false, "
-                f"got {self.reset_before_next_variation!r}"
-            )
+        _checks.flag("reset_before_next_variation", self.reset_before_next_variation)
         try:
             object.__setattr__(self, "steps_full_range", tuple(self.steps_full_range))
         except TypeError:
@@ -74,15 +71,9 @@ class DeviceProfile:
                 f"got {len(self.steps_full_range)}"
             )
         for i, steps in enumerate(self.steps_full_range):
-            if not (_is_number(steps) and STEPS_MIN <= steps <= STEPS_MAX):
-                raise ValueError(
-                    f"steps_full_range[{i}] = {steps!r} out of range "
-                    f"[{STEPS_MIN}, {STEPS_MAX}]"
-                )
+            _checks.number_in(f"steps_full_range[{i}]", steps, STEPS_MIN, STEPS_MAX)
         for name in ("step_rate", "per_rate_frame_time"):
-            value = getattr(self, name)
-            if not (_is_finite(value) and value > 0):
-                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+            _checks.positive(name, getattr(self, name))
 
     def calibrated(self, seed: int) -> "DeviceProfile":
         """A copy with per-leaf step counts drawn uniformly from the
@@ -96,14 +87,6 @@ def leaf_for_hour(hour: int) -> int:
     """The leaf showing ``hour``: hour 8 drives leaf 0, one leaf per hour.
     Hours past :data:`MAX_DEVICE_HOUR` map past the device's last leaf."""
     return hour - FIRST_HOUR
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    return _is_number(value) and math.isfinite(value)
 
 
 # The physical step rates are calibrated so that full 10-hour and 8-hour
@@ -140,25 +123,16 @@ class MotionPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "commands", tuple(self.commands))
-        if not _is_finite(self.total_duration):
-            raise ValueError(f"total_duration must be a finite number, got {self.total_duration!r}")
+        _checks.finite("total_duration", self.total_duration)
         previous = None
         per_leaf_end: dict[int, float] = {}
         for index, cmd in enumerate(self.commands):
-            if not isinstance(cmd.leaf, int) or isinstance(cmd.leaf, bool):
-                raise ValueError(f"command {index}: leaf must be an int, got {cmd.leaf!r}")
-            for name in ("source", "target"):
-                value = getattr(cmd, name)
-                if not (_is_number(value) and POSITION_MIN <= value <= POSITION_MAX):
-                    raise ValueError(f"command {index} (leaf {cmd.leaf}): {name} must be a "
-                                     f"number in [{POSITION_MIN}, {POSITION_MAX}], got {value!r}")
-            for name in ("start_time", "duration"):
-                if not _is_finite(getattr(cmd, name)):
-                    raise ValueError(f"command {index} (leaf {cmd.leaf}): {name} must be "
-                                     f"a finite number, got {getattr(cmd, name)!r}")
-            if cmd.duration < 0:
-                raise ValueError(f"command {index} (leaf {cmd.leaf}): duration must be "
-                                 f">= 0, got {cmd.duration!r}")
+            _checks.an_int(f"command {index}: leaf", cmd.leaf)
+            where = f"command {index} (leaf {cmd.leaf}): "
+            _checks.number_in(where + "source", cmd.source, POSITION_MIN, POSITION_MAX)
+            _checks.number_in(where + "target", cmd.target, POSITION_MIN, POSITION_MAX)
+            _checks.finite(where + "start_time", cmd.start_time)
+            _checks.non_negative(where + "duration", cmd.duration)
             if previous is not None and cmd.start_time < previous:
                 raise ValueError("commands must be sorted by start_time")
             previous = cmd.start_time
@@ -184,17 +158,13 @@ def _check_vectors(targets, current, leaf_indices) -> list[int]:
     if len(targets) > LEAF_COUNT:
         raise ValueError(f"at most {LEAF_COUNT} leaves, got {len(targets)}")
     for vec in (targets, current):
-        for p in vec:
-            if not POSITION_MIN <= p <= POSITION_MAX:
-                raise ValueError(f"position {p} out of range [0, 10]")
+        _checks.within("position", vec, POSITION_MIN, POSITION_MAX)
     if leaf_indices is None:
         return list(range(len(targets)))
     leaf_indices = list(leaf_indices)
     if len(leaf_indices) != len(targets):
         raise ValueError("leaf_indices must match the target vector length")
-    for leaf in leaf_indices:
-        if not 0 <= leaf < LEAF_COUNT:
-            raise ValueError(f"leaf index {leaf} out of range [0, {LEAF_COUNT - 1}]")
+    _checks.within("leaf index", leaf_indices, 0, LEAF_COUNT - 1)
     return leaf_indices
 
 
@@ -276,8 +246,6 @@ def lowfi_timeline(
     """Frames of the low-fidelity stepping rule: the extension grows by
     ``tick_step`` points every ``tick`` seconds, the last partial increment
     still getting its own frame."""
-    if extension_delta < 0:
-        raise ValueError("extension_delta must be non-negative")
     return lowfi_series_timeline([extension_delta], tick_step, tick)
 
 
@@ -286,17 +254,15 @@ def lowfi_series_timeline(
 ) -> FrameTimeline:
     """Multi-channel variant of :func:`lowfi_timeline`: every channel steps
     together, each clamped at its own target extension.  Deltas must be
-    finite and non-negative, ``tick_step`` and ``tick`` finite and
-    positive, and the timeline at most :data:`MAX_FRAMES` frames long;
-    anything else raises ``ValueError`` before a frame is made."""
-    if not all(map(_is_finite, extension_deltas)):
+    finite numbers >= 0, ``tick_step`` and ``tick`` finite numbers > 0 (a
+    ``bool`` is no number), and the timeline at most :data:`MAX_FRAMES`
+    frames long; anything else raises ``ValueError`` before a frame is made."""
+    if not all(map(_checks.is_finite, extension_deltas)):
         raise ValueError("extension deltas must be finite numbers")
     if any(d < 0 for d in extension_deltas):
         raise ValueError("extension deltas must be non-negative")
-    if not (_is_finite(tick_step) and tick_step > 0):
-        raise ValueError(f"tick_step must be a finite number > 0, got {tick_step!r}")
-    if not (_is_finite(tick) and tick > 0):
-        raise ValueError(f"tick must be a finite number > 0, got {tick!r}")
+    _checks.positive("tick_step", tick_step)
+    _checks.positive("tick", tick)
     peak = max(extension_deltas, default=0)
     if peak / tick_step > MAX_FRAMES:  # the frame count, its ceiling, is then above it too
         raise ValueError(

@@ -22,6 +22,7 @@ import enum
 import math
 from dataclasses import dataclass
 
+from . import _checks
 from .encoder import POSITION_MAX, POSITION_MIN, LeafPosition
 from .series import MAX_SAMPLES, MIN_SAMPLES, HourSlot
 
@@ -80,11 +81,9 @@ class ChartDimensions:
     glyph_max_extent: float  # cm at position 10
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.chart_height, self.glyph_min_extent,
-                                       self.glyph_max_extent))):
-            raise ValueError("chart dimensions must be finite")
-        if self.chart_height <= 0:
-            raise ValueError("chart_height must be positive")
+        _checks.positive("chart_height", self.chart_height)
+        _checks.finite("glyph_min_extent", self.glyph_min_extent)
+        _checks.finite("glyph_max_extent", self.glyph_max_extent)
         if not self.glyph_min_extent < self.glyph_max_extent:
             raise ValueError("glyph_min_extent must be smaller than glyph_max_extent")
 
@@ -174,9 +173,7 @@ def layout(
 ) -> ChartScene:
     """Resolve one chart: anchors evenly spaced bottom-to-top in hour order,
     glyph extents proportional to positions."""
-    for p in positions:
-        if not POSITION_MIN <= p <= POSITION_MAX:
-            raise ValueError(f"position {p} out of range [0, 10]")
+    _checks.within("position", positions, POSITION_MIN, POSITION_MAX)
     return layout_extents([p / 10 for p in positions], hours, style, dims)
 
 
@@ -227,9 +224,7 @@ def check_extents(extents: list[float], hours: list[HourSlot]) -> None:
         raise ValueError(
             f"a chart displays {MIN_SAMPLES}..{MAX_SAMPLES} hours, got {len(hours)}"
         )
-    for e in extents:
-        if not 0.0 <= e <= 1.0 + 1e-9:
-            raise ValueError(f"extent {e} out of range [0, 1]")
+    _checks.within("extent", extents, 0, 1, slack=1e-9)
 
 
 def place_anchor(

@@ -20,6 +20,8 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import _checks
+
 # Rates are dimensionless fractions of the maximum availability.
 Rate = float
 # Clock hour of the displayed day.  The standard working day runs from
@@ -49,7 +51,7 @@ def _quote(value: object) -> str:
 
 
 def _check_rate(value: float, path: str = "rate") -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _checks.is_number(value):
         raise ForecastDocumentError(path, f"expected a number, got {_quote(value)}")
     if not 0.0 <= value <= 1.0:
         raise ForecastDocumentError(path, f"rate {_quote(value)} out of range [0.0, 1.0]")
@@ -57,7 +59,7 @@ def _check_rate(value: float, path: str = "rate") -> float:
 
 
 def _check_hour(value: int, path: str = "hour") -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _checks.is_int(value):
         raise ForecastDocumentError(path, f"expected an integer hour, got {_quote(value)}")
     if not FIRST_HOUR <= value <= LAST_HOUR:
         raise ForecastDocumentError(

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 
+from . import _checks
 from .motion import MAX_FRAMES, FrameTimeline, MotionPlan, leaf_for_hour
 from .render import (
     DEFAULT_DIMENSIONS,
@@ -205,8 +206,7 @@ def _timeline_extents(timeline, n_hours, full_extension):
 
 
 def _plan_extents(plan, hours, fps, initial_positions):
-    if not (math.isfinite(fps) and fps > 0):
-        raise ValueError(f"fps must be a finite number > 0, got {fps}")
+    _checks.positive("fps", fps)
     if not plan.total_duration * fps <= MAX_FRAMES:  # an infinite count too
         raise ValueError(f"{plan.total_duration} s at {fps} fps is more than {MAX_FRAMES} frames")
     if initial_positions is None:
