@@ -40,7 +40,7 @@ import marshal
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, repeat, starmap
 
 from . import _checks
@@ -490,10 +490,3 @@ def events_to_ndjson(events: Iterable[LogEvent]) -> str:
 def _record_json(event: LogEvent, t: object) -> str:
     record = {"t": t, "board": event.board, "kind": event.kind, "detail": dict(event.detail)}
     return json.dumps(record, sort_keys=True)
-
-
-def _set_motor_power(boards: tuple[BoardState, ...], on: bool) -> tuple[BoardState, ...]:
-    updated = [
-        replace(b, powered=on) if b.board_id < MOTOR_BOARDS else b for b in boards
-    ]
-    return tuple(updated)

@@ -35,7 +35,8 @@ POSITION_MIN = 0
 POSITION_MAX = 10
 
 # Upper bin edges of the peak-relative table, paired with the emitted
-# position.  The peak ratio 1.0 overrides the last bin and maps to 10.
+# position.  The peak ratio 1.0 overrides the last bin and maps to 10,
+# :data:`POSITION_MAX`.
 _RELATIVE_BINS: tuple[tuple[float, int], ...] = (
     (0.1, 0),
     (0.2, 3),
@@ -51,6 +52,14 @@ class EncodingMode(enum.Enum):
     PEAK_RELATIVE = "relative"
     ABSOLUTE_LINEAR = "absolute"
     SIX_STEP = "six-step"
+
+
+def check_mode(mode) -> EncodingMode:
+    """Return ``mode`` if it is an :class:`EncodingMode`, which its string
+    value is not; raise ``ValueError`` otherwise."""
+    if not isinstance(mode, EncodingMode):
+        raise ValueError(f"mode must be an EncodingMode, got {mode!r}")
+    return mode
 
 
 class EncodingDomainError(ValueError):
@@ -73,7 +82,7 @@ def encode_relative(rate: Rate, peak_rate: Rate) -> LeafPosition:
     # The ratio is in [0, 1], so one of the bins takes it.
     ratio = rate / peak_rate
     if abs(ratio - 1.0) <= PEAK_RATIO_TOLERANCE:
-        return 10
+        return POSITION_MAX
     for upper, position in _RELATIVE_BINS:
         if ratio <= upper:
             return position
@@ -103,6 +112,7 @@ def encode_series(
     Hours outside the variation encode 0.  Peak-relative encoding normalizes
     by the variation's own peak rate.
     """
+    check_mode(mode)
     _check_membership(series, variation)
     positions = []
     for hour, rate in zip(series.hours, series.rates):
@@ -129,10 +139,12 @@ def position_rate_interval(
     six-step intervals follow the peak-relative convention.  Together the
     intervals of the emittable positions partition [0, 1].
     """
-    if mode is EncodingMode.PEAK_RELATIVE:
-        table = {0: (0.0, 0.1), 3: (0.1, 0.2), 4: (0.2, 0.5), 5: (0.5, 0.8),
-                 6: (0.8, 0.9), 7: (0.9, 1.0), 10: (1.0, 1.0)}
-        if position not in table:
+    if check_mode(mode) is EncodingMode.PEAK_RELATIVE:
+        # A bin runs from the previous bin's upper edge; the peak is the point 1.0.
+        edges = (0.0, *(upper for upper, _ in _RELATIVE_BINS))
+        table = {position: (lo, hi) for lo, (hi, position) in zip(edges, _RELATIVE_BINS)}
+        table[POSITION_MAX] = (1.0, 1.0)
+        if not (_checks.is_number(position) and position in table):
             raise ValueError(f"position {position} is not emittable in peak-relative mode")
         return table[position]
     if mode is EncodingMode.ABSOLUTE_LINEAR:

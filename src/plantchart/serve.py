@@ -21,8 +21,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from . import device
-from .encoder import EncodingDomainError, EncodingMode, encode_series
+from . import _checks, device
+from .encoder import EncodingDomainError, EncodingMode, check_mode, encode_series
 from .motion import (
     LEAF_COUNT,
     MAX_DEVICE_HOUR,
@@ -161,6 +161,7 @@ class ForecastService:
 
     def __post_init__(self):
         device.check_dt(self.tick)
+        check_mode(self.mode)
         self._snapshot = device.initial_state(self.profile)
         self._core = device._Core(self._snapshot)
 
@@ -212,7 +213,8 @@ def run_service(
     ``service.accepted``, the payloads the service has accepted so far.
     Poll failures back off, doubling up to one second from at least
     :data:`POLL_QUANTUM`, so an idle feed is never polled in a busy loop,
-    even with a zero ``poll_timeout``."""
+    even with a zero ``poll_timeout``, which must be a finite number >= 0."""
+    _checks.non_negative("poll_timeout", poll_timeout)
     handled = 0
     idle = 0
     backoff = poll_timeout

@@ -146,8 +146,8 @@ def iter_frames(
     as the returned iterator is advanced.
 
     A frame timeline renders its own frames (point extensions normalized by
-    ``full_extension``, default the timeline maximum; single-channel frames
-    broadcast to every hour).  A motion plan is sampled at ``fps`` into at
+    ``full_extension``, a finite number, default the timeline maximum, and
+    1.0 when at most 0; single-channel frames broadcast to every hour).  A motion plan is sampled at ``fps`` into at
     most :data:`MAX_FRAMES` frames; hours show plan leaves by ``leaf_for_hour``.
     Every input is checked before this returns, so a bad frame raises
     ``ValueError`` here, before the first document is made.
@@ -187,9 +187,10 @@ def _documents(extent_rows, scene, serializer) -> Iterator[str]:
 
 
 def _timeline_extents(timeline, n_hours, full_extension):
-    peak = full_extension
-    if peak is None:
+    if full_extension is None:
         peak = max((max(f.extensions) for f in timeline.frames), default=1.0)
+    else:
+        peak = _checks.finite("full_extension", full_extension)
     if peak <= 0:
         peak = 1.0
     rows = []

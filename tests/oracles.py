@@ -26,11 +26,11 @@ from plantchart.device import (
     DEFAULT_TICK,
     EVENT_STOP,
     MOTOR_BOARDS,
+    BoardState,
     ControllerState,
     LogEvent,
     PendingCommand,
     SimulationError,
-    _set_motor_power,
     position_to_steps,
 )
 from plantchart.motion import LEAF_COUNT, FrameTimeline, Modality, MotionCommand, MotionPlan
@@ -127,6 +127,11 @@ def six_step_from_percent(k: int) -> int:
         if k <= threshold:
             return step
     raise AssertionError(f"percent {k} out of range")
+
+
+def _set_motor_power(boards: tuple[BoardState, ...], on: bool) -> tuple[BoardState, ...]:
+    """``boards`` with every motor board's power flag set to ``on``."""
+    return tuple(replace(b, powered=on) if b.board_id < MOTOR_BOARDS else b for b in boards)
 
 
 def reference_tick(ctrl: ControllerState, dt: float) -> ControllerState:

@@ -69,7 +69,7 @@ class TestTick:
         with pytest.raises(ValueError):
             tick(initial_state(BENCH), 0.0)
 
-    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf, True])
     def test_tick_and_run_plan_reject_dt_that_is_not_finite_and_positive(self, dt):
         with pytest.raises(ValueError):
             tick(initial_state(BENCH), dt)

@@ -58,6 +58,8 @@ class TestEncodeRelative:
         (0.5, float("nan"), "^peak rate must be a finite number, got nan$"),
         (0.5, float("inf"), "^peak rate must be a finite number, got inf$"),
         (float("inf"), float("inf"), "^peak rate must be a finite number, got inf$"),
+        (True, 1.0, r"^rate True out of range \[0.0, 1.0\]$"),
+        (0.5, True, "^peak rate must be a finite number, got True$"),
     ])
     def test_rate_outside_zero_to_a_finite_peak_rejected(self, rate, peak, message):
         with pytest.raises(ValueError, match=message):
@@ -87,6 +89,8 @@ class TestEncodeAbsolute:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             encode_absolute(1.2)
+        with pytest.raises(ValueError, match=r"^rate True out of range \[0.0, 1.0\]$"):
+            encode_absolute(True)
 
 
 class TestEncodeSixStep:
@@ -97,6 +101,11 @@ class TestEncodeSixStep:
     def test_all_percent_values_match_enumerated_thresholds(self):
         for k in range(101):
             assert encode_six_step(k / 100) == six_step_from_percent(k), k
+
+    @pytest.mark.parametrize("rate", [1.2, -0.1, float("nan"), True])
+    def test_out_of_range(self, rate):
+        with pytest.raises(ValueError, match=rf"^rate {rate!r} out of range \[0.0, 1.0\]$"):
+            encode_six_step(rate)
 
 
 class TestEncodeSeries:
@@ -140,6 +149,16 @@ class TestEncodeSeries:
         with pytest.raises(ValueError):
             encode_series(series, other)
 
+    @pytest.mark.parametrize("mode", ["absolute", "six-step", None])
+    def test_a_mode_that_is_not_an_encoding_mode_is_refused(self, mode):
+        series = ForecastSeries(hours=(8, 9, 10), rates=(0.0, 0.5, 0.0))
+        (variation,) = segment_variations(series)
+        message = f"^mode must be an EncodingMode, got {mode!r}$"
+        with pytest.raises(ValueError, match=message):
+            encode_series(series, variation, mode)
+        with pytest.raises(ValueError, match=message):
+            position_rate_interval(0, mode)
+
     def test_absolute_mode_ignores_the_peak(self):
         series = ForecastSeries(hours=(8, 9, 10), rates=(0.0, 0.5, 0.0))
         (variation,) = segment_variations(series)
@@ -157,6 +176,15 @@ class TestPositionRateInterval:
         for p in (1, 2, 8, 9):
             with pytest.raises(ValueError):
                 position_rate_interval(p)
+
+    @pytest.mark.parametrize("position, mode", [
+        (False, EncodingMode.PEAK_RELATIVE),
+        (True, EncodingMode.ABSOLUTE_LINEAR),
+        (True, EncodingMode.SIX_STEP),
+    ])
+    def test_a_bool_is_not_a_position(self, position, mode):
+        with pytest.raises(ValueError):
+            position_rate_interval(position, mode)
 
     def test_relative_intervals_partition_the_unit_range(self):
         intervals = [position_rate_interval(p) for p in EMITTABLE_RELATIVE]

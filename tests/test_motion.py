@@ -66,6 +66,18 @@ class TestPlanPhysical:
         with pytest.raises(ValueError):
             plan_for_profile([1, 2], [0], PLANTFORM)
 
+    @pytest.mark.parametrize("targets, current, leaves, message", [
+        ([11], [0], None, r"^position 11 out of range \[0, 10\]$"),
+        ([1], [True], None, r"^position True out of range \[0, 10\]$"),
+        ([True], [True], None, r"^position True out of range \[0, 10\]$"),
+        ([5], [0], [10], r"^leaf index 10 out of range \[0, 9\]$"),
+        ([5], [0], [True], r"^leaf index True out of range \[0, 9\]$"),
+    ])
+    def test_a_position_or_leaf_index_out_of_range_is_refused(self, targets, current, leaves,
+                                                              message):
+        with pytest.raises(ValueError, match=message):
+            plan_for_profile(targets, current, PLANTFORM, leaves)
+
     @given(position_vectors(), position_vectors())
     def test_duration_monotone_in_total_travel(self, a, b):
         n = min(len(a), len(b))

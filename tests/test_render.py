@@ -23,6 +23,7 @@ from plantchart.render import (
     UnsupportedStyleError,
     glyph_extent_measure,
     layout,
+    layout_extents,
     parse_style,
 )
 from plantchart.svg import (
@@ -31,6 +32,7 @@ from plantchart.svg import (
     GALLERY_STYLES,
     MAX_FRAMES,
     design_space_gallery,
+    iter_frames,
     render_frames,
     render_svg,
 )
@@ -101,6 +103,27 @@ class TestLayout:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             layout([1, 2, 3], HOURS10, BAR_ONE_STRAIGHT)
+
+    @pytest.mark.parametrize("chart, message", [
+        (lambda p: layout(p, HOURS10, BAR_ONE_STRAIGHT), r"^position {} out of range \[0, 10\]$"),
+        (lambda p: layout_extents(p, HOURS10, BAR_ONE_STRAIGHT), r"^extent {} out of range \[0, 1\]$"),
+    ], ids=["layout", "layout_extents"])
+    @pytest.mark.parametrize("bad", [11, -1, math.nan, True])
+    def test_a_value_outside_its_range_or_a_bool_is_refused(self, chart, message, bad):
+        with pytest.raises(ValueError, match=message.format(bad)):
+            chart([0] * 9 + [bad])
+
+    @pytest.mark.parametrize("dims, message", [
+        ((math.nan, 1.0, 2.0), "^chart_height must be a finite number > 0, got nan$"),
+        ((0.0, 1.0, 2.0), "^chart_height must be a finite number > 0, got 0.0$"),
+        ((True, 1.0, 2.0), "^chart_height must be a finite number > 0, got True$"),
+        ((10.0, math.inf, 2.0), "^glyph_min_extent must be a finite number, got inf$"),
+        ((10.0, 1.0, math.nan), "^glyph_max_extent must be a finite number, got nan$"),
+        ((10.0, 2.0, 1.0), "^glyph_min_extent must be smaller than glyph_max_extent$"),
+    ])
+    def test_chart_dimensions_are_finite_with_a_positive_height(self, dims, message):
+        with pytest.raises(ValueError, match=message):
+            ChartDimensions(*dims)
 
     def test_ring_requires_two_sided(self):
         with pytest.raises(UnsupportedStyleError):
@@ -246,6 +269,20 @@ class TestRenderFrames:
         plan = MotionPlan("plantscreen", (MotionCommand(0, 0, 10, 0.0, duration),), duration)
         with pytest.raises(ValueError, match=f"more than {MAX_FRAMES} frames"):
             render_frames(plan, HOURS10, BAR_ONE_STRAIGHT, fps=1.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"fps": True}, "^fps must be a finite number > 0, got True$"),
+        ({"full_extension": math.nan}, "^full_extension must be a finite number, got nan$"),
+        ({"full_extension": math.inf}, "^full_extension must be a finite number, got inf$"),
+        ({"full_extension": True}, "^full_extension must be a finite number, got True$"),
+    ])
+    def test_a_bad_fps_or_full_extension_is_refused_before_the_first_frame(self, kwargs,
+                                                                           message):
+        source = plan_for_profile([10] * 10, [0] * 10, PLANTSCREEN)
+        if "full_extension" in kwargs:
+            source = lowfi_timeline(100.0)
+        with pytest.raises(ValueError, match=message):
+            iter_frames(source, HOURS10, LEAF_TWO_CURVY, **kwargs)
 
     def test_cairnscreen_final_frame_is_the_static_chart(self):
         style = parse_style("ring,two-sided,straight")

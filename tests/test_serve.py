@@ -17,6 +17,7 @@ from plantchart.motion import (
 )
 from plantchart.serve import (
     REJECTIONS_KEPT,
+    FeedClosed,
     FileFeed,
     ForecastService,
     device_targets,
@@ -182,6 +183,13 @@ class TestForecastService:
     def test_tick_must_be_finite_and_positive(self):
         with pytest.raises(ValueError):
             ForecastService(PLANTFORM, tick=float("nan"))
+        with pytest.raises(ValueError):
+            ForecastService(PLANTFORM, tick=True)
+
+    @pytest.mark.parametrize("mode", ["relative", "absolute", None])
+    def test_mode_must_be_an_encoding_mode(self, mode):
+        with pytest.raises(ValueError, match=f"^mode must be an EncodingMode, got {mode!r}$"):
+            ForecastService(PLANTFORM, mode=mode)
 
     def test_simulation_failures_are_rejections(self, tmp_path):
         path = tmp_path / "feed.ndjson"
@@ -290,6 +298,16 @@ class TestFeeds:
         assert len(feed.timeouts) == 8
         assert feed.timeouts[0] == 0
         assert all(0 < t <= 1.0 for t in feed.timeouts[1:]), feed.timeouts
+
+    @pytest.mark.parametrize("poll_timeout", [float("nan"), float("inf"), -1.0, True])
+    def test_a_poll_timeout_that_is_not_a_finite_number_from_0_is_refused(self, poll_timeout):
+        class ClosedFeed:
+            def poll(self, timeout=0.0):
+                raise FeedClosed
+
+        service = ForecastService(PLANTFORM, tick=0.1)
+        with pytest.raises(ValueError, match="^poll_timeout must be "):
+            run_service(service, ClosedFeed(), poll_timeout=poll_timeout, max_idle_polls=1)
 
     def test_threaded_publisher(self, tmp_path):
         path = tmp_path / "feed.ndjson"
