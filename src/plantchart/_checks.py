@@ -4,7 +4,10 @@ and what "finite", "> 0", ">= 0" and "in [lo, hi]" mean.  A check returns
 its value or raises a ``ValueError``, worded here, that names the field.
 That is the contract of every public entry point: a value of the
 documented type that breaks a rule raises ``ValueError`` naming the field;
-a value of another type may raise ``TypeError``."""
+a value of another type may raise ``TypeError``.
+
+The checks run per sample, per command and per frame row, so each spells
+out the number test of :func:`is_number` rather than calling it."""
 
 import math
 
@@ -18,7 +21,7 @@ def is_int(value) -> bool:
 
 
 def is_finite(value) -> bool:
-    return is_number(value) and math.isfinite(value)
+    return isinstance(value, (int, float)) and type(value) is not bool and math.isfinite(value)
 
 
 def _refuse(name: str, rule: str, value):
@@ -39,25 +42,27 @@ def positive(name: str, value):
 
 def non_negative(name: str, value):
     """Worded as :func:`finite` for a value that is not a finite number."""
-    return value if finite(name, value) >= 0 else _refuse(name, ">= 0", value)
+    if is_finite(value) and value >= 0:
+        return value
+    _refuse(name, ">= 0" if is_finite(value) else "a finite number", value)
 
 
 def number_in(name: str, value, lo, hi):
-    if is_number(value) and lo <= value <= hi:
+    if isinstance(value, (int, float)) and type(value) is not bool and lo <= value <= hi:
         return value
     _refuse(name, f"a number in [{lo}, {hi}]", value)
 
 
 def an_int(name: str, value, lo=None, hi=None) -> int:
     """``value`` if it is an int, and in ``[lo, hi]`` when a range is given."""
-    if is_int(value) and (lo is None or lo <= value <= hi):
+    if isinstance(value, int) and type(value) is not bool and (lo is None or lo <= value <= hi):
         return value
     _refuse(name, "an int" if lo is None else f"an int in [{lo}, {hi}]", value)
 
 
 def within(subject: str, values, lo, hi, slack: float = 0.0) -> None:
-    """Raise ``<subject> <value> out of range [lo, hi]`` at the first of ``values``
-    not a number in ``[lo, hi + slack]``; one call, :func:`is_number` inline."""
+    """Raise ``<subject> <value> out of range [lo, hi]`` at the first of
+    ``values`` that is not a number in ``[lo, hi + slack]``."""
     top = hi + slack
     for value in values:
         if type(value) is bool or not isinstance(value, (int, float)) or not lo <= value <= top:

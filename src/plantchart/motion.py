@@ -127,12 +127,15 @@ class MotionPlan:
         previous = None
         per_leaf_end: dict[int, float] = {}
         for index, cmd in enumerate(self.commands):
-            _checks.an_int(f"command {index}: leaf", cmd.leaf)
-            where = f"command {index} (leaf {cmd.leaf}): "
-            _checks.number_in(where + "source", cmd.source, POSITION_MIN, POSITION_MAX)
-            _checks.number_in(where + "target", cmd.target, POSITION_MIN, POSITION_MAX)
-            _checks.finite(where + "start_time", cmd.start_time)
-            _checks.non_negative(where + "duration", cmd.duration)
+            try:  # the message names the command only once a check fails
+                _checks.an_int("leaf", cmd.leaf)
+                _checks.number_in("source", cmd.source, POSITION_MIN, POSITION_MAX)
+                _checks.number_in("target", cmd.target, POSITION_MIN, POSITION_MAX)
+                _checks.finite("start_time", cmd.start_time)
+                _checks.non_negative("duration", cmd.duration)
+            except ValueError as exc:
+                leaf = f" (leaf {cmd.leaf})" if _checks.is_int(cmd.leaf) else ""
+                raise ValueError(f"command {index}{leaf}: {exc}") from None
             if previous is not None and cmd.start_time < previous:
                 raise ValueError("commands must be sorted by start_time")
             previous = cmd.start_time
