@@ -6,8 +6,8 @@ That is the contract of every public entry point: a value of the
 documented type that breaks a rule raises ``ValueError`` naming the field;
 a value of another type may raise ``TypeError``.
 
-The checks run per sample, per command and per frame row, so each spells
-out the number test of :func:`is_number` rather than calling it."""
+The checks run per sample, per command and per frame row, so the number
+test of :func:`is_number` is spelt out where it is needed, not called."""
 
 import math
 

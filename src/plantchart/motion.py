@@ -258,7 +258,7 @@ def lowfi_series_timeline(
     """Multi-channel variant of :func:`lowfi_timeline`: every channel steps
     together, each clamped at its own target extension.  Deltas must be
     finite numbers >= 0, ``tick_step`` and ``tick`` finite numbers > 0 (a
-    ``bool`` is no number), and the timeline at most :data:`MAX_FRAMES`
+    ``bool`` is not one), and the timeline at most :data:`MAX_FRAMES`
     frames long; anything else raises ``ValueError`` before a frame is made."""
     if not all(map(_checks.is_finite, extension_deltas)):
         raise ValueError("extension deltas must be finite numbers")
