@@ -112,6 +112,20 @@ BAR_THICKNESS_RATIO = 0.55  # of the per-hour slot height
 RING_THICKNESS_RATIO = 0.45
 BAMBOO_LEAFLET_SIZE = 0.9  # cm, static whatever the extent
 
+# Tables that depend on no chart, built once at import.  Each entry is the
+# same expression, in the same order, that the per-chart code would
+# evaluate, so the geometry keeps every bit.
+#: ``sin(2*pi*CURVE_PERIODS*t)`` at trunk sample ``k``, ``t = k/TRUNK_SAMPLES``.
+_TRUNK_WAVE = tuple(
+    math.sin(2 * math.pi * CURVE_PERIODS * (k / TRUNK_SAMPLES)) for k in range(TRUNK_SAMPLES + 1)
+)
+#: Where a leaf's midrib segment ``k`` takes its direction, as a share of its length.
+_LEAF_U_MID = tuple((k + 0.5) / LEAF_SAMPLES for k in range(LEAF_SAMPLES))
+#: Midrib point ``k`` as a share of the leaf's length, and the blade's
+#: half-width profile there.
+_LEAF_U = tuple(k / LEAF_SAMPLES for k in range(LEAF_SAMPLES + 1))
+_LEAF_SIN_PI_U = tuple(math.sin(math.pi * u) for u in _LEAF_U)
+
 LEFT = "left"
 RIGHT = "right"
 
@@ -158,7 +172,8 @@ class ChartScene:
 
 
 def trunk_x(style: ChartStyle, dims: ChartDimensions, t: float) -> float:
-    """Horizontal trunk offset at relative height ``t`` in [0, 1]."""
+    """Horizontal trunk offset at relative height ``t`` in [0, 1].  The
+    trunk's own samples take these sines from ``_TRUNK_WAVE``."""
     if style.trunk is TrunkForm.STRAIGHT:
         return 0.0
     amplitude = CURVE_AMPLITUDE_RATIO * dims.chart_height
@@ -188,12 +203,14 @@ def layout_extents(
     check_extents(extents, hours)
     n = len(hours)
     height = dims.chart_height
-    trunk = GlyphPath(
-        tuple(
-            (trunk_x(style, dims, k / TRUNK_SAMPLES), height * k / TRUNK_SAMPLES)
-            for k in range(TRUNK_SAMPLES + 1)
-        )
-    )
+    # The points of trunk_x at k / TRUNK_SAMPLES, with its sines from the table.
+    if style.trunk is TrunkForm.STRAIGHT:
+        points = [(0.0, height * k / TRUNK_SAMPLES) for k in range(TRUNK_SAMPLES + 1)]
+    else:
+        amplitude = CURVE_AMPLITUDE_RATIO * height
+        points = [(amplitude * wave, height * k / TRUNK_SAMPLES)
+                  for k, wave in enumerate(_TRUNK_WAVE)]
+    trunk = GlyphPath(tuple(points))
 
     anchors = []
     glyphs = []
@@ -296,7 +313,8 @@ def _left_paths(paths, axis_x, style) -> tuple[GlyphPath, ...]:
 
 
 def _mirror(path: GlyphPath, axis_x: float) -> GlyphPath:
-    return GlyphPath(tuple((2 * axis_x - x, y) for x, y in path.points), path.closed)
+    twice = 2 * axis_x
+    return GlyphPath(tuple([(twice - x, y) for x, y in path.points]), path.closed)
 
 
 def _bar_paths(point, extent, dims, slot) -> tuple[GlyphPath, ...]:
@@ -346,7 +364,8 @@ def _leaf_paths(point, extent, style, dims) -> tuple[GlyphPath, ...]:
     """Midrib plus blade.  The midrib starts horizontal at the anchor and
     curls downward along an Archimedean-style spiral whose total curl angle
     shrinks linearly to zero at full extent; under growth animation there is
-    no curl and only the length scales."""
+    no curl and only the length scales.  The shares of the length and the
+    blade's width profile come from the ``_LEAF_*`` tables."""
     ax, ay = point
     length = dims.extent_cm(extent)
     if style.animation is Animation.UNFURL:
@@ -354,25 +373,25 @@ def _leaf_paths(point, extent, style, dims) -> tuple[GlyphPath, ...]:
     else:
         curl = 0.0
 
-    n = LEAF_SAMPLES
-    ds = length / n
+    # The angles are -curl * u * u, left to right: -curl * (u * u) rounds
+    # otherwise.
+    ds = length / LEAF_SAMPLES
     midrib = [(ax, ay)]
     x, y = ax, ay
-    for k in range(n):
-        u_mid = (k + 0.5) / n
+    for u_mid in _LEAF_U_MID:
         angle = -curl * u_mid * u_mid
         x += ds * math.cos(angle)
         y += ds * math.sin(angle)
         midrib.append((x, y))
 
     width = LEAF_WIDTH_RATIO * length
-    blade_lower = []
-    for k, (mx, my) in enumerate(midrib):
-        u = k / n
+    lower = []
+    for (mx, my), u, profile in zip(midrib, _LEAF_U, _LEAF_SIN_PI_U):
         angle = -curl * u * u
-        w = width * math.sin(math.pi * u)
-        blade_lower.append((mx + w * math.sin(angle), my - w * math.cos(angle)))
-    return _leaf_from_blade(GlyphPath(tuple(midrib) + tuple(reversed(blade_lower)), closed=True))
+        w = width * profile
+        lower.append((mx + w * math.sin(angle), my - w * math.cos(angle)))
+    lower.reverse()
+    return _leaf_from_blade(GlyphPath(tuple(midrib + lower), closed=True))
 
 
 def _leaf_from_blade(blade: GlyphPath) -> tuple[GlyphPath, GlyphPath]:

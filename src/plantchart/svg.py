@@ -16,15 +16,24 @@ that pair, and later frames showing it reuse the text.  Each frame thus
 costs only the anchors that moved since an earlier frame, and frames are
 made one at a time, so writing them holds one document and the glyph texts.
 
+Across documents, the trunk's path data is formatted once per trunk and
+projection.  Every chart drawn for one device on one canvas has the same
+trunk, so a process drawing many of them formats it once.  The text is
+kept by the trunk's points and the projection, never by the style or the
+dimensions, since a hand-built scene may carry any trunk; at most
+:data:`TRUNK_CACHE_SIZE` texts are kept.
+
 Within one glyph, a path whose points begin with all of the previous path's
 points reuses that path's formatted ``"x y"`` tokens and formats only the
 rest.  A leaf's blade starts with its midrib's points, so they are
-formatted once.  Reuse compares points by value, which keeps the bytes:
-equal floats format alike once ``-0.000`` is rewritten as ``0.000``.
+formatted once.  Reuse compares points by value, here and for the trunk,
+which keeps the bytes: equal floats format alike once ``-0.000`` is
+rewritten as ``0.000``, and a NaN matches at most itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 
@@ -54,6 +63,8 @@ LABEL_FILL = "#3d3325"
 
 DEFAULT_CANVAS = (480, 640)
 MARGIN_RATIO = 0.06
+#: Trunk path texts kept, each for one trunk and one projection.
+TRUNK_CACHE_SIZE = 16
 
 
 def render_svg(scene: ChartScene, canvas: tuple[int, int] = DEFAULT_CANVAS) -> str:
@@ -87,7 +98,7 @@ def _serializer(scene: ChartScene, canvas: tuple[int, int]):
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n'
-        f'<path d="{_path_d(scene.trunk, x0, y0, scale)}" fill="none" '
+        f'<path d="{_trunk_d(scene.trunk, x0, y0, scale)}" fill="none" '
         f'stroke="{TRUNK_STROKE}" stroke-width="{_fmt(0.16 * scene.slot * scale)}" '
         'stroke-linecap="round"/>\n'
     )
@@ -289,6 +300,11 @@ def _path_d(path: GlyphPath, x0: float, y0: float, scale: float) -> str:
     """Path data for ``path`` projected to ``(x0 + x*scale, y0 - y*scale)``,
     every coordinate formatted as :func:`_fmt` does."""
     return _d(_tokens(path.points, x0, y0, scale), path.closed)
+
+
+# The trunk's text by the path's value and the projection: not by the style
+# or dimensions, since a hand-built scene may carry any trunk.
+_trunk_d = functools.lru_cache(maxsize=TRUNK_CACHE_SIZE)(_path_d)
 
 
 def _tokens(points, x0: float, y0: float, scale: float) -> list[str]:

@@ -9,7 +9,8 @@ advancing the mutable simulator core, the event-log oracle serializes
 every event whole instead of reusing the text of each distinct event head,
 and the frames oracle lays out and serializes every frame whole, formatting
 each coordinate through ``round``, instead of reusing per-anchor glyph
-text, and the leaf layout oracle builds a leaf's midrib and blade as
+text, the trunk oracle evaluates the trunk's offset and sine at every
+sample instead of reading the sines from a table, and the leaf layout oracle builds a leaf's midrib and blade as
 separate point tuples and mirrors every path of a left-hand leaf on its
 own, instead of mirroring the blade once and sharing its midrib prefix.
 """
@@ -36,17 +37,21 @@ from plantchart.device import (
 from plantchart.motion import LEAF_COUNT, FrameTimeline, Modality, MotionCommand, MotionPlan
 from plantchart.protocol import Frame, Opcode, decode_frame, encode_frame
 from plantchart.render import (
+    CURVE_AMPLITUDE_RATIO,
+    CURVE_PERIODS,
     DEFAULT_DIMENSIONS,
     LEAF_MAX_CURL,
     LEAF_SAMPLES,
     LEAF_WIDTH_RATIO,
     LEFT,
     RIGHT,
+    TRUNK_SAMPLES,
     Anchoring,
     Animation,
     Decoration,
     Glyph,
     GlyphPath,
+    TrunkForm,
     layout_extents,
 )
 from plantchart.series import FIRST_HOUR
@@ -445,6 +450,21 @@ def reference_render_svg(scene, canvas=DEFAULT_CANVAS) -> str:
 def reference_fmt(value: float) -> str:
     """Three decimals by ``round`` first; adding 0.0 turns -0.0 into 0.0."""
     return f"{round(value, 3) + 0.0:.3f}"
+
+
+def reference_trunk(style, dims) -> GlyphPath:
+    """The trunk :func:`plantchart.render.layout_extents` must lay out: one
+    point per sample, its offset and height evaluated whole at each one."""
+
+    def x(t):
+        if style.trunk is TrunkForm.STRAIGHT:
+            return 0.0
+        amplitude = CURVE_AMPLITUDE_RATIO * dims.chart_height
+        return amplitude * math.sin(2 * math.pi * CURVE_PERIODS * t)
+
+    height = dims.chart_height
+    return GlyphPath(tuple((x(k / TRUNK_SAMPLES), height * k / TRUNK_SAMPLES)
+                           for k in range(TRUNK_SAMPLES + 1)))
 
 
 def reference_leaf_glyphs(index, point, side, extent, style, dims) -> tuple[Glyph, ...]:

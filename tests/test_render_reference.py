@@ -1,18 +1,22 @@
 """Static charts and leaf layout against the references in ``oracles``:
-``render_svg`` gives the line-by-line reference document byte for byte, and
-``place_anchor`` gives the first-written leaf glyphs down to the last float
-bit, which the criterion-7 mirror check and ``glyph_extent_measure`` rely on."""
+``render_svg`` gives the line-by-line reference document byte for byte, also
+when one process draws many charts and reuses its trunk text;
+``layout_extents`` gives the reference trunk and ``place_anchor`` the
+first-written leaf glyphs down to the last float bit, which the criterion-7
+mirror check and ``glyph_extent_measure`` rely on."""
 
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_leaf_glyphs, reference_render_svg
+from oracles import reference_leaf_glyphs, reference_render_svg, reference_trunk
+from plantchart import svg
 from plantchart.render import (
     DEVICE_DIMENSIONS,
     Anchoring,
     Animation,
+    ChartDimensions,
     ChartStyle,
     Decoration,
     Glyph,
@@ -93,6 +97,42 @@ def test_hand_built_paths_equal_the_reference(paths, canvas):
     glyph = Glyph(0, Decoration.LEAF, 0.5, "right", paths)
     scene = replace(base, glyphs=(glyph, glyph))
     assert render_svg(scene, canvas) == reference_render_svg(scene, canvas)
+
+
+def point_bits(path):
+    return [(x.hex(), y.hex()) for x, y in path.points]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(TrunkForm),
+    dimensions | st.builds(ChartDimensions, st.floats(1e-6, 1e6), st.just(1.0), st.just(2.0)),
+)
+def test_the_trunk_equals_the_reference_bit_for_bit(trunk, dims):
+    style = ChartStyle(trunk, Anchoring.ONE_SIDED, Decoration.BAR, Animation.GROWTH)
+    laid = layout_extents([0.0, 0.5, 1.0], [8, 9, 10], style, dims).trunk
+    want = reference_trunk(style, dims)
+    assert (laid.closed, point_bits(laid)) == (want.closed, point_bits(want))
+
+
+@pytest.mark.parametrize("style", [GALLERY_STYLES[0], GALLERY_STYLES[1]], ids=lambda s: s.label())
+@pytest.mark.parametrize("canvas", [(480, 640), (333, 1201)])
+def test_another_trunk_at_the_same_projection_is_formatted_anew(style, canvas):
+    scene = layout([0, 5, 10], [8, 9, 10], style, DEVICE_DIMENSIONS["plantform"])
+    render_svg(scene, canvas)
+    other = replace(scene, trunk=GlyphPath(tuple((x + 1.0, y) for x, y in scene.trunk.points)))
+    assert render_svg(other, canvas) == reference_render_svg(other, canvas)
+    assert render_svg(scene, canvas) == reference_render_svg(scene, canvas)
+
+
+def test_the_trunk_texts_kept_are_bounded():
+    scene = layout([0, 5, 10], [8, 9, 10], GALLERY_STYLES[1], DEVICE_DIMENSIONS["plantform"])
+    for width in range(100, 100 + 3 * svg.TRUNK_CACHE_SIZE):
+        render_svg(scene, (width, 640))
+        assert svg._trunk_d.cache_info().currsize <= svg.TRUNK_CACHE_SIZE
+    hits = svg._trunk_d.cache_info().hits
+    assert render_svg(scene, (width, 640)) == reference_render_svg(scene, (width, 640))
+    assert svg._trunk_d.cache_info().hits == hits + 1
 
 
 def float_bits(glyphs):
