@@ -1,7 +1,8 @@
 """The package's value rules, which no other module decides: a number is
 an ``int`` or a ``float`` and an int an ``int``, but a ``bool`` is neither;
 and what "finite", "> 0", ">= 0" and "in [lo, hi]" mean.  A check returns
-its value or raises a ``ValueError``, worded here, that names the field.
+its value or raises a ``ValueError``, worded here, that names the field
+and quotes at most :data:`QUOTE_LIMIT` characters of the value's ``repr``.
 That is the contract of every public entry point: a value of the
 documented type that breaks a rule raises ``ValueError`` naming the field;
 a value of another type may raise ``TypeError``.
@@ -10,6 +11,15 @@ The checks run per sample, per command and per frame row, so the number
 test of :func:`is_number` is spelt out where it is needed, not called."""
 
 import math
+
+#: Most characters of a bad value that a rejection message quotes.
+QUOTE_LIMIT = 80
+
+
+def quote(value: object) -> str:
+    """``repr(value)``, cut to :data:`QUOTE_LIMIT` characters and ``...``."""
+    quoted = repr(value)
+    return quoted if len(quoted) <= QUOTE_LIMIT else quoted[:QUOTE_LIMIT] + "..."
 
 
 def is_number(value) -> bool:
@@ -25,7 +35,7 @@ def is_finite(value) -> bool:
 
 
 def _refuse(name: str, rule: str, value):
-    raise ValueError(f"{name} must be {rule}, got {value!r}")
+    raise ValueError(f"{name} must be {rule}, got {quote(value)}")
 
 
 def flag(name: str, value) -> bool:
@@ -53,6 +63,12 @@ def number_in(name: str, value, lo, hi):
     _refuse(name, f"a number in [{lo}, {hi}]", value)
 
 
+def positive_int(name: str, value) -> int:
+    if isinstance(value, int) and type(value) is not bool and value > 0:
+        return value
+    _refuse(name, "an int > 0", value)
+
+
 def an_int(name: str, value, lo=None, hi=None) -> int:
     """``value`` if it is an int, and in ``[lo, hi]`` when a range is given."""
     if isinstance(value, int) and type(value) is not bool and (lo is None or lo <= value <= hi):
@@ -66,4 +82,4 @@ def within(subject: str, values, lo, hi, slack: float = 0.0) -> None:
     top = hi + slack
     for value in values:
         if type(value) is bool or not isinstance(value, (int, float)) or not lo <= value <= top:
-            raise ValueError(f"{subject} {value!r} out of range [{lo}, {hi}]")
+            raise ValueError(f"{subject} {quote(value)} out of range [{lo}, {hi}]")

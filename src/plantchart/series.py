@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _checks
+from ._checks import QUOTE_LIMIT, quote  # QUOTE_LIMIT: still importable from here
 
 # Rates are dimensionless fractions of the maximum availability.
 Rate = float
@@ -32,8 +33,6 @@ FIRST_HOUR = 8
 LAST_HOUR = 18
 MIN_SAMPLES = 3
 MAX_SAMPLES = 10
-#: Most characters of a bad value that a rejection message quotes.
-QUOTE_LIMIT = 80
 
 
 class ForecastDocumentError(ValueError):
@@ -44,26 +43,20 @@ class ForecastDocumentError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def _quote(value: object) -> str:
-    """``repr(value)``, cut to :data:`QUOTE_LIMIT` characters and ``...``."""
-    quoted = repr(value)
-    return quoted if len(quoted) <= QUOTE_LIMIT else quoted[:QUOTE_LIMIT] + "..."
-
-
 def _check_rate(value: float, path: str = "rate") -> float:
     if not _checks.is_number(value):
-        raise ForecastDocumentError(path, f"expected a number, got {_quote(value)}")
+        raise ForecastDocumentError(path, f"expected a number, got {quote(value)}")
     if not 0.0 <= value <= 1.0:
-        raise ForecastDocumentError(path, f"rate {_quote(value)} out of range [0.0, 1.0]")
+        raise ForecastDocumentError(path, f"rate {quote(value)} out of range [0.0, 1.0]")
     return float(value)
 
 
 def _check_hour(value: int, path: str = "hour") -> int:
     if not _checks.is_int(value):
-        raise ForecastDocumentError(path, f"expected an integer hour, got {_quote(value)}")
+        raise ForecastDocumentError(path, f"expected an integer hour, got {quote(value)}")
     if not FIRST_HOUR <= value <= LAST_HOUR:
         raise ForecastDocumentError(
-            path, f"hour {_quote(value)} out of range [{FIRST_HOUR}, {LAST_HOUR}]"
+            path, f"hour {quote(value)} out of range [{FIRST_HOUR}, {LAST_HOUR}]"
         )
     return value
 
@@ -266,7 +259,7 @@ def _load_json(document: str) -> ForecastSeries:
         raise ForecastDocumentError("samples", "expected a list of samples")
     date = payload.get("date")
     if date is not None and not isinstance(date, str):
-        raise ForecastDocumentError("date", f"expected a string, got {_quote(date)}")
+        raise ForecastDocumentError("date", f"expected a string, got {quote(date)}")
     hours, rates = [], []
     for i, sample in enumerate(samples):
         if not isinstance(sample, dict):
@@ -292,7 +285,7 @@ def _load_csv(document: str) -> ForecastSeries:
     header = [cell.strip().lower() for cell in rows[0]]
     if header != ["hour", "rate"]:
         raise ForecastDocumentError(
-            "header", f"expected 'hour,rate', got {_quote(','.join(header))}"
+            "header", f"expected 'hour,rate', got {quote(','.join(header))}"
         )
     hours, rates = [], []
     for i, row in enumerate(rows[1:]):
@@ -302,13 +295,13 @@ def _load_csv(document: str) -> ForecastSeries:
             hour = int(row[0].strip())
         except ValueError:
             raise ForecastDocumentError(
-                f"samples[{i}].hour", f"expected an integer hour, got {_quote(row[0].strip())}"
+                f"samples[{i}].hour", f"expected an integer hour, got {quote(row[0].strip())}"
             ) from None
         try:
             rate = float(row[1].strip())
         except ValueError:
             raise ForecastDocumentError(
-                f"samples[{i}].rate", f"expected a number, got {_quote(row[1].strip())}"
+                f"samples[{i}].rate", f"expected a number, got {quote(row[1].strip())}"
             ) from None
         hours.append(_check_hour(hour, f"samples[{i}].hour"))
         rates.append(_check_rate(rate, f"samples[{i}].rate"))

@@ -79,8 +79,8 @@ def _serializer(scene: ChartScene, canvas: tuple[int, int]):
     after them (hour labels and the closing tag).  Only the glyph text
     depends on the extents, and every part ends in a newline."""
     width, height = canvas
-    if width <= 0 or height <= 0:
-        raise ValueError(f"canvas must have positive area, got {canvas}")
+    _checks.positive_int("canvas width", width)
+    _checks.positive_int("canvas height", height)
 
     # Fixed world window: the chart extents do not depend on the displayed
     # positions, so documents for different data share one projection.

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -204,6 +205,21 @@ class TestRenderSvg:
         scene = layout(POSITIONS10, HOURS10, BAR_ONE_STRAIGHT)
         with pytest.raises(ValueError):
             render_svg(scene, (0, 640))
+
+    @pytest.mark.parametrize("canvas, message", [
+        ((math.nan, 640), "canvas width must be an int > 0, got nan"),
+        ((math.inf, 640), "canvas width must be an int > 0, got inf"),
+        ((480, -math.inf), "canvas height must be an int > 0, got -inf"),
+        ((True, True), "canvas width must be an int > 0, got True"),
+        ((480.0, 640), "canvas width must be an int > 0, got 480.0"),
+        ((480, 0), "canvas height must be an int > 0, got 0"),
+    ])
+    def test_a_canvas_that_is_not_two_positive_ints_is_refused(self, canvas, message):
+        scene = layout(POSITIONS10, HOURS10, BAR_ONE_STRAIGHT)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            render_svg(scene, canvas)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            iter_frames(lowfi_timeline(100.0), HOURS10, BAR_ONE_STRAIGHT, canvas=canvas)
 
     def test_glyph_extents_scale_with_device_dimensions(self):
         dims = DEVICE_DIMENSIONS["plantform"]

@@ -3,9 +3,15 @@ decides what counts as a number, an int or a bool, and what "finite"
 means.  Every other module asks it."""
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
+
+from plantchart._checks import QUOTE_LIMIT
+from plantchart.motion import PLANTFORM, plan_for_profile, plan_from_json, plan_to_json
+from plantchart.render import ChartDimensions, layout
+from plantchart.svg import GALLERY_STYLES
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "plantchart").glob("*.py"))
 VOCABULARY = "_checks.py"
@@ -78,3 +84,27 @@ def test_a_local_value_rule_is_caught():
         "lambda v: isfinite(v)",
         "type(v) is not bool",
     ]
+
+
+HUGE = 100_000
+
+
+def _plan_with_a_huge_target():
+    document = json.loads(plan_to_json(plan_for_profile([3], [0], PLANTFORM)))
+    document["commands"][0]["to"] = list(range(HUGE))
+    plan_from_json(json.dumps(document))
+
+
+HUGE_BAD_VALUES = {
+    "plan-target-list": _plan_with_a_huge_target,
+    "layout-position-string": lambda: layout([0, "x" * HUGE, 0], [8, 9, 10], GALLERY_STYLES[0]),
+    "dimensions-extent-string": lambda: ChartDimensions(10.0, "y" * HUGE, 3.0),
+}
+
+
+@pytest.mark.parametrize("call", HUGE_BAD_VALUES.values(), ids=HUGE_BAD_VALUES.keys())
+def test_a_huge_bad_value_is_quoted_in_part(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    message = str(info.value)
+    assert "..." in message and len(message) < QUOTE_LIMIT + 80
