@@ -10,9 +10,10 @@ every event whole instead of reusing the text of each distinct event head,
 and the frames oracle lays out and serializes every frame whole, formatting
 each coordinate through ``round``, instead of reusing per-anchor glyph
 text, the trunk oracle evaluates the trunk's offset and sine at every
-sample instead of reading the sines from a table, and the leaf layout oracle builds a leaf's midrib and blade as
-separate point tuples and mirrors every path of a left-hand leaf on its
-own, instead of mirroring the blade once and sharing its midrib prefix.
+sample instead of reading the sines from a table, and the leaf layout
+oracle builds a leaf's midrib and blade as separate point tuples and
+mirrors every path of a left-hand leaf on its own, instead of mirroring
+the blade once and sharing its midrib prefix.
 """
 
 from __future__ import annotations
