@@ -1,29 +1,32 @@
 #!/usr/bin/env python3
 """Compare two revisions on one benchmark workload in alternating pairs of runs.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --workload charts-gallery [--pairs 10] [--seconds 35]
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload charts-gallery
 
 Both revisions are exported with ``git archive`` into a temporary directory,
-and ``perfbench/run.py`` runs in each export with
+and each export's ``perfbench/suite.py`` runs its ``perfbench/run.py`` with
 ``PYTHONDONTWRITEBYTECODE=1``, so no run reads bytecode that another left.
-Pair ``k`` runs seed ``k`` on both sides; odd pairs run the parent first and
-even pairs the change first, so a slow spell of the host falls on both.
+There are :data:`PAIRS` pairs of runs, each as long as the parent's
+``BENCHMARK.json`` says.  Pair ``k`` runs seed ``k`` on both sides; odd pairs
+run the parent first and even pairs the change first, so a slow spell of the
+host falls on both.
 
 For each end-to-end metric of the parent's ``BENCHMARK.json`` the report gives
-each side's median and quartiles, the pairs the change won, and whether the
-medians lie further apart than the parent's quartile spread.  A gain is
-claimed only when the change wins at least 9 pairs in 10 and its median is
-better by more than that spread.  The report also says whether both sides
-printed the same ``exact:`` line on every seed.
+each side's median and quartiles, by the suite's quantile rule, the pairs the
+change won, and whether the medians lie further apart than the parent's
+quartile spread.  A gain is claimed only over :data:`PAIRS` pairs or more,
+when the change wins at least 9 pairs in 10 and its median is better by more
+than that spread.  The report also says whether both sides printed the same
+``exact:`` line on every seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tarfile
@@ -31,32 +34,40 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Pairs of runs per comparison, and the fewest that a claim rests on.
+PAIRS = 10
 
 
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    """``(q1, median, q3)``, by the quantile rule ``perfbench/suite.py`` uses."""
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4)
-    return q1, median, q3
+def load_suite(root: Path):
+    """``perfbench/suite.py`` of the tree at ``root``; its ``run`` runs that tree."""
+    spec = importlib.util.spec_from_file_location(f"suite_{root.name}",
+                                                  root / "perfbench" / "suite.py")
+    suite = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(suite)
+    return suite
+
+
+quartiles = load_suite(ROOT).quartiles
 
 
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
     """One metric over the pairs: ``parent[k]`` and ``change[k]`` come from
     pair ``k``; ``better`` is ``"lower"`` or ``"higher"``."""
     sign = 1 if better == "higher" else -1
-    p1, pm, p3 = quartiles(parent)
-    c1, cm, c3 = quartiles(change)
-    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    beyond = abs(cm - pm) > p3 - p1
+    p, c = quartiles(parent), quartiles(change)
+    wins = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
+    beyond = abs(c["median"] - p["median"]) > p["q3"] - p["q1"]
+    pairs = len(parent)
     return {
-        "parent": (p1, pm, p3),
-        "change": (c1, cm, c3),
+        "parent": (p["q1"], p["median"], p["q3"]),
+        "change": (c["q1"], c["median"], c["q3"]),
         "wins": wins,
-        "pairs": len(parent),
-        "change_pct": 100 * (cm - pm) / pm if pm else float("inf"),
+        "pairs": pairs,
+        "change_pct": (100 * (c["median"] - p["median"]) / p["median"]
+                       if p["median"] else float("inf")),
         "beyond_spread": beyond,
-        "claim": beyond and sign * (cm - pm) > 0 and 10 * wins >= 9 * len(parent),
+        "claim": (pairs >= PAIRS and beyond and sign * (c["median"] - p["median"]) > 0
+                  and 10 * wins >= 9 * pairs),
     }
 
 
@@ -72,49 +83,34 @@ def export(rev: str, into: Path) -> Path:
     return into
 
 
-def run(copy: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str | None]:
-    """The end-to-end metrics of one untraced run, and its ``exact:`` line."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    out = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True)
-    if out.returncode != 0:
-        sys.stderr.write(out.stdout + out.stderr)
-        raise SystemExit(f"{copy.name} {workload} seed {seed}: exit {out.returncode}")
-    lines = out.stdout.strip().splitlines()
-    metrics = {name: m["value"] for name, m in json.loads(lines[-1])["metrics"].items()}
-    exact = next((line for line in lines if line.startswith("exact: ")), None)
-    return metrics, exact
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=35)
     args = parser.parse_args(argv)
 
+    os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        sides = {"parent": export(args.parent, Path(tmp, "parent")),
-                 "change": export(args.change, Path(tmp, "change"))}
-        bench = json.loads((sides["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+        suites = {side: load_suite(export(rev, Path(tmp, side)))
+                  for side, rev in (("parent", args.parent), ("change", args.change))}
+        bench = json.loads(Path(tmp, "parent", "BENCHMARK.json").read_text(encoding="utf-8"))
+        seconds = bench["run_seconds"]
         results = {"parent": [], "change": []}
         same_exact = True
-        for seed in range(1, args.pairs + 1):
+        for seed in range(1, PAIRS + 1):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             exact = {}
             for side in order:
-                metrics, exact[side] = run(sides[side], args.workload, seed, args.seconds)
-                results[side].append(metrics)
+                result = suites[side].run(args.workload, seed, seconds, 0)
+                results[side].append({k: m["value"] for k, m in result["metrics"].items()})
+                exact[side] = result["exact"]
             same_exact = same_exact and exact["parent"] == exact["change"]
             print(f"pair {seed} ({order[0]} first): "
                   + json.dumps({side: {k: round(v, 6) for k, v in results[side][-1].items()}
                                 for side in ("parent", "change")}), flush=True)
 
-    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, "
-          f"{args.parent} -> {args.change}")
+    print(f"{args.workload}: {PAIRS} pairs of {seconds:g} s runs, {args.parent} -> {args.change}")
     for metric in bench["end_to_end"]:
         name = metric["name"]
         s = summarize([r[name] for r in results["parent"]], [r[name] for r in results["change"]],

@@ -63,17 +63,15 @@ def number_in(name: str, value, lo, hi):
     _refuse(name, f"a number in [{lo}, {hi}]", value)
 
 
-def positive_int(name: str, value) -> int:
-    if isinstance(value, int) and type(value) is not bool and value > 0:
-        return value
-    _refuse(name, "an int > 0", value)
-
-
 def an_int(name: str, value, lo=None, hi=None) -> int:
-    """``value`` if it is an int, and in ``[lo, hi]`` when a range is given."""
-    if isinstance(value, int) and type(value) is not bool and (lo is None or lo <= value <= hi):
+    """``value`` if it is an int, ``>= lo`` when ``lo`` is given and
+    ``<= hi`` when ``hi`` is given."""
+    if (isinstance(value, int) and type(value) is not bool
+            and (lo is None or lo <= value) and (hi is None or value <= hi)):
         return value
-    _refuse(name, "an int" if lo is None else f"an int in [{lo}, {hi}]", value)
+    rule = ("an int" if lo is None else f"an int >= {lo}" if hi is None
+            else f"an int in [{lo}, {hi}]")
+    _refuse(name, rule, value)
 
 
 def within(subject: str, values, lo, hi, slack: float = 0.0) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _checks
-from ._checks import QUOTE_LIMIT, quote  # QUOTE_LIMIT: still importable from here
+from ._checks import quote
 
 # Rates are dimensionless fractions of the maximum availability.
 Rate = float

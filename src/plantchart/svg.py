@@ -79,8 +79,8 @@ def _serializer(scene: ChartScene, canvas: tuple[int, int]):
     after them (hour labels and the closing tag).  Only the glyph text
     depends on the extents, and every part ends in a newline."""
     width, height = canvas
-    _checks.positive_int("canvas width", width)
-    _checks.positive_int("canvas height", height)
+    _checks.an_int("canvas width", width, 1)
+    _checks.an_int("canvas height", height, 1)
 
     # Fixed world window: the chart extents do not depend on the displayed
     # positions, so documents for different data share one projection.

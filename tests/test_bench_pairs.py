@@ -14,8 +14,8 @@ PARENT = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
 
 
 def test_quartiles_follow_the_suite():
-    assert bench_pairs.quartiles(PARENT) == (2.75, 5.5, 8.25)
-    assert bench_pairs.quartiles([4.0]) == (4.0, 4.0, 4.0)
+    s = bench_pairs.summarize(PARENT, [4.0] * 10, "lower")
+    assert s["parent"] == (2.75, 5.5, 8.25) and s["change"] == (4.0, 4.0, 4.0)
 
 
 def test_a_lower_is_better_gain_past_the_spread_is_claimed():
@@ -46,3 +46,11 @@ def test_direction_and_ties():
     assert worse["wins"] == 0 and worse["beyond_spread"] and not worse["claim"]
     tied = bench_pairs.summarize(PARENT, list(PARENT), "lower")
     assert tied["wins"] == 0 and tied["change_pct"] == 0.0 and not tied["beyond_spread"]
+
+
+def test_fewer_pairs_than_the_protocol_are_not_claimed():
+    assert bench_pairs.PAIRS == 10
+    few = bench_pairs.summarize(PARENT[:3], [v - 6.0 for v in PARENT[:3]], "lower")
+    assert few["wins"] == 3 and few["beyond_spread"] and not few["claim"]
+    one = bench_pairs.summarize([5.0], [1.0], "lower")
+    assert one["wins"] == 1 and one["beyond_spread"] and not one["claim"]

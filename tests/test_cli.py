@@ -12,7 +12,7 @@ import plantchart
 from plantchart import serve
 from plantchart.cli import main
 from plantchart.motion import PLANTFORM
-from plantchart.series import QUOTE_LIMIT
+from plantchart._checks import QUOTE_LIMIT
 from plantchart.svg import MAX_FRAMES
 from strategies import UNPARSABLE_DOCUMENTS
 

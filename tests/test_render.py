@@ -207,12 +207,12 @@ class TestRenderSvg:
             render_svg(scene, (0, 640))
 
     @pytest.mark.parametrize("canvas, message", [
-        ((math.nan, 640), "canvas width must be an int > 0, got nan"),
-        ((math.inf, 640), "canvas width must be an int > 0, got inf"),
-        ((480, -math.inf), "canvas height must be an int > 0, got -inf"),
-        ((True, True), "canvas width must be an int > 0, got True"),
-        ((480.0, 640), "canvas width must be an int > 0, got 480.0"),
-        ((480, 0), "canvas height must be an int > 0, got 0"),
+        ((math.nan, 640), "canvas width must be an int >= 1, got nan"),
+        ((math.inf, 640), "canvas width must be an int >= 1, got inf"),
+        ((480, -math.inf), "canvas height must be an int >= 1, got -inf"),
+        ((True, True), "canvas width must be an int >= 1, got True"),
+        ((480.0, 640), "canvas width must be an int >= 1, got 480.0"),
+        ((480, 0), "canvas height must be an int >= 1, got 0"),
     ])
     def test_a_canvas_that_is_not_two_positive_ints_is_refused(self, canvas, message):
         scene = layout(POSITIONS10, HOURS10, BAR_ONE_STRAIGHT)

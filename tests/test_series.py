@@ -7,9 +7,9 @@ HUGE = "9" * 1_000_000
 
 from strategies import UNPARSABLE_DOCUMENTS, grid_series
 from oracles import brute_force_variations
+from plantchart._checks import QUOTE_LIMIT
 from plantchart.fixtures import interpolate_series
 from plantchart.series import (
-    QUOTE_LIMIT,
     ForecastDocumentError,
     ForecastSeries,
     Variation,
