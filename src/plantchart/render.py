@@ -82,7 +82,7 @@ class ChartDimensions:
 
     def __post_init__(self):
         _checks.positive("chart_height", self.chart_height)
-        _checks.finite("glyph_min_extent", self.glyph_min_extent)
+        _checks.non_negative("glyph_min_extent", self.glyph_min_extent)
         _checks.finite("glyph_max_extent", self.glyph_max_extent)
         if not self.glyph_min_extent < self.glyph_max_extent:
             raise ValueError("glyph_min_extent must be smaller than glyph_max_extent")
@@ -375,21 +375,22 @@ def _leaf_paths(point, extent, style, dims) -> tuple[GlyphPath, ...]:
 
     # The angles are -curl * u * u, left to right: -curl * (u * u) rounds
     # otherwise.
+    cos, sin, neg = math.cos, math.sin, -curl
     ds = length / LEAF_SAMPLES
     midrib = [(ax, ay)]
     x, y = ax, ay
     for u_mid in _LEAF_U_MID:
-        angle = -curl * u_mid * u_mid
-        x += ds * math.cos(angle)
-        y += ds * math.sin(angle)
+        angle = neg * u_mid * u_mid
+        x += ds * cos(angle)
+        y += ds * sin(angle)
         midrib.append((x, y))
 
     width = LEAF_WIDTH_RATIO * length
     lower = []
     for (mx, my), u, profile in zip(midrib, _LEAF_U, _LEAF_SIN_PI_U):
-        angle = -curl * u * u
+        angle = neg * u * u
         w = width * profile
-        lower.append((mx + w * math.sin(angle), my - w * math.cos(angle)))
+        lower.append((mx + w * sin(angle), my - w * cos(angle)))
     lower.reverse()
     return _leaf_from_blade(GlyphPath(tuple(midrib + lower), closed=True))
 

@@ -23,12 +23,15 @@ kept by the trunk's points and the projection, never by the style or the
 dimensions, since a hand-built scene may carry any trunk; at most
 :data:`TRUNK_CACHE_SIZE` texts are kept.
 
+Each run of points is formatted with one ``%`` operation, against a
+template of one ``"%.3f %.3f"`` per point joined by ``" L "``; at most
+:data:`TEMPLATE_CACHE_SIZE` templates are kept, one per point count.
 Within one glyph, a path whose points begin with all of the previous path's
-points reuses that path's formatted ``"x y"`` tokens and formats only the
-rest.  A leaf's blade starts with its midrib's points, so they are
-formatted once.  Reuse compares points by value, here and for the trunk,
-which keeps the bytes: equal floats format alike once ``-0.000`` is
-rewritten as ``0.000``, and a NaN matches at most itself.
+points reuses that path's formatted text and formats only the rest.  A
+leaf's blade starts with its midrib's points, so they are formatted once.
+Reuse compares points by value, here and for the trunk, which keeps the
+bytes: equal floats format alike once ``-0.000`` is rewritten as
+``0.000``, and a NaN matches at most itself.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ DEFAULT_CANVAS = (480, 640)
 MARGIN_RATIO = 0.06
 #: Trunk path texts kept, each for one trunk and one projection.
 TRUNK_CACHE_SIZE = 16
+#: Path-data templates kept, each for one count of points.
+TEMPLATE_CACHE_SIZE = 32
 
 
 def render_svg(scene: ChartScene, canvas: tuple[int, int] = DEFAULT_CANVAS) -> str:
@@ -89,10 +94,20 @@ def _serializer(scene: ChartScene, canvas: tuple[int, int]):
     reach = dims.glyph_max_extent + amplitude
     world_w = 2 * reach * 1.06
     world_h = dims.chart_height * 1.12
-    margin = MARGIN_RATIO * min(width, height)
-    scale = min((width - 2 * margin) / world_w, (height - 2 * margin) / world_h)
-    x0 = width / 2
-    y0 = height - margin
+    try:
+        margin = MARGIN_RATIO * min(width, height)
+        scale = min((width - 2 * margin) / world_w, (height - 2 * margin) / world_h)
+        x0 = width / 2
+        y0 = height - margin
+    except OverflowError:  # a canvas side beyond the floats
+        x0 = y0 = scale = math.inf
+    if not (_checks.is_finite(x0) and _checks.is_finite(y0) and _checks.is_finite(scale)
+            and scale > 0):
+        raise ValueError(
+            f"canvas {_checks.quote(canvas)} and dims "
+            f"{(dims.chart_height, dims.glyph_min_extent, dims.glyph_max_extent)} "
+            "give no finite projection at a scale > 0"
+        )
 
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -113,17 +128,18 @@ def _serializer(scene: ChartScene, canvas: tuple[int, int]):
 
     def glyph_text(glyph: Glyph) -> str:
         parts = []
-        prev_points, prev_tokens = (), []
+        prev_points, prev_text = (), ""
         for path in glyph.paths:
             points = path.points
             k = len(prev_points)
-            if points[:k] == prev_points:
-                tokens = prev_tokens + _tokens(points[k:], x0, y0, scale)
+            if k and points[:k] == prev_points:
+                rest = points[k:]
+                text = prev_text + " L " + _text(rest, x0, y0, scale) if rest else prev_text
             else:
-                tokens = _tokens(points, x0, y0, scale)
-            parts.append(f'<path d="{_d(tokens, path.closed)}')
+                text = _text(points, x0, y0, scale)
+            parts.append(f'<path d="{_d(text, path.closed)}')
             parts.append(closed_attrs if path.closed else open_attrs)
-            prev_points, prev_tokens = points, tokens
+            prev_points, prev_text = points, text
         return "".join(parts)
 
     font = _fmt(0.34 * scene.slot * scale)
@@ -299,7 +315,7 @@ def _fmt(value: float) -> str:
 def _path_d(path: GlyphPath, x0: float, y0: float, scale: float) -> str:
     """Path data for ``path`` projected to ``(x0 + x*scale, y0 - y*scale)``,
     every coordinate formatted as :func:`_fmt` does."""
-    return _d(_tokens(path.points, x0, y0, scale), path.closed)
+    return _d(_text(path.points, x0, y0, scale), path.closed)
 
 
 # The trunk's text by the path's value and the projection: not by the style
@@ -307,19 +323,31 @@ def _path_d(path: GlyphPath, x0: float, y0: float, scale: float) -> str:
 _trunk_d = functools.lru_cache(maxsize=TRUNK_CACHE_SIZE)(_path_d)
 
 
-def _tokens(points, x0: float, y0: float, scale: float) -> list[str]:
-    """One ``"x y"`` token per point, projected and formatted to three
-    decimals.  A coordinate that rounds to zero from below reads ``-0.000``
-    until :func:`_d` rewrites it, so equal points give equal path data."""
-    return ["%.3f %.3f" % (x0 + x * scale, y0 - y * scale) for x, y in points]
+@functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
+def _template(n: int) -> str:
+    """The format of ``n`` points: ``"%.3f %.3f"`` ``n`` times, joined by ``" L "``."""
+    return " L ".join(["%.3f %.3f"] * n)
 
 
-def _d(tokens: list[str], closed: bool) -> str:
-    """Path data from the points' tokens: a moveto, linetos, and a
+def _text(points, x0: float, y0: float, scale: float) -> str:
+    """The points projected and formatted to three decimals, ``"x y"``
+    each, joined by ``" L "``, in one ``%`` operation.  A coordinate that
+    rounds to zero from below reads ``-0.000`` until :func:`_d` rewrites
+    it, so equal points give equal path data."""
+    coords = []
+    append = coords.append
+    for x, y in points:
+        append(x0 + x * scale)
+        append(y0 - y * scale)
+    return _template(len(points)) % tuple(coords)
+
+
+def _d(text: str, closed: bool) -> str:
+    """Path data from the points' text: a moveto, linetos, and a
     closepath when ``closed``."""
-    if not tokens:
+    if not text:
         return "Z" if closed else ""
     # A number reads "-0.000" only where _fmt would print "0.000": every
     # number has exactly three decimals and a sign only at its start.
-    d = "M " + " L ".join(tokens).replace("-0.000", "0.000")
+    d = "M " + text.replace("-0.000", "0.000")
     return d + " Z" if closed else d

@@ -322,6 +322,13 @@ class TestBadInputs:
     @pytest.mark.parametrize("argv, profile, code", [
         pytest.param(["render", "--canvas", "0x0"], None, 2, id="canvas-0x0"),
         pytest.param(["render", "--dims", "nan,1,2"], None, 2, id="dims-nan"),
+        pytest.param(["render", "--dims", "10,-5,-0.8"], None, 2, id="dims-negative-extents"),
+        pytest.param(["render", "--dims", "10,-50,-20"], None, 2, id="dims-negative-scale"),
+        pytest.param(["render", "--dims", "1e308,0,1e308"], None, 2, id="dims-world-overflows"),
+        pytest.param(["render", "--frames", "FRAMES", "--dims", "1e-320,0,1e-320"], None, 2,
+                     id="frames-dims-subnormal"),
+        pytest.param(["render", "--canvas", "9" * 400 + "x640"], None, 2,
+                     id="canvas-beyond-floats"),
         pytest.param(["render", "--frames", "FRAMES", "--fps", "0"], None, 2, id="fps-0"),
         pytest.param(["render", "--frames", "FRAMES", "--fps", "nan"], None, 2, id="fps-nan"),
         pytest.param(["simulate"], {"name": "s", "step_rate": "fast"}, 2, id="step-rate-text"),

@@ -27,6 +27,7 @@ from plantchart.render import (
     layout_extents,
     parse_style,
 )
+from plantchart import svg
 from plantchart.svg import (
     GALLERY_HOURS,
     GALLERY_POSITIONS,
@@ -121,6 +122,9 @@ class TestLayout:
         ((10.0, math.inf, 2.0), "^glyph_min_extent must be a finite number, got inf$"),
         ((10.0, 1.0, math.nan), "^glyph_max_extent must be a finite number, got nan$"),
         ((10.0, 2.0, 1.0), "^glyph_min_extent must be smaller than glyph_max_extent$"),
+        ((10.0, -5.0, -0.8), "^glyph_min_extent must be >= 0, got -5.0$"),
+        ((10.0, -50.0, -20.0), "^glyph_min_extent must be >= 0, got -50.0$"),
+        ((10.0, -1e-300, 2.0), "^glyph_min_extent must be >= 0, got -1e-300$"),
     ])
     def test_chart_dimensions_are_finite_with_a_positive_height(self, dims, message):
         with pytest.raises(ValueError, match=message):
@@ -220,6 +224,25 @@ class TestRenderSvg:
             render_svg(scene, canvas)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             iter_frames(lowfi_timeline(100.0), HOURS10, BAR_ONE_STRAIGHT, canvas=canvas)
+
+    @pytest.mark.parametrize("dims, canvas, message", [
+        # The world width overflows, so the scale is 0.
+        ((1e308, 0.0, 1e308), (480, 640), "canvas (480, 640) and dims (1e+308, 0.0, 1e+308)"),
+        # The world window is subnormal, so the scale is infinite.
+        ((1e-320, 0.0, 1e-320), (480, 640), "canvas (480, 640) and dims (1e-320, 0.0, 1e-320)"),
+        # The canvas width is beyond the floats.
+        ((69.0, 6.5, 13.7), (10 ** 400, 640), f"canvas ({'1' + '0' * 78}... and dims (69.0, 6.5, 13.7)"),
+    ], ids=["world-width-overflows", "world-subnormal", "canvas-beyond-floats"])
+    def test_a_projection_that_is_not_finite_is_refused(self, dims, canvas, message):
+        dims = ChartDimensions(*dims)
+        scene = layout(POSITIONS10, HOURS10, LEAF_TWO_CURVY, dims)
+        message = f"^{re.escape(message)} give no finite projection at a scale > 0$"
+        kept = svg._trunk_d.cache_info()
+        with pytest.raises(ValueError, match=message):
+            render_svg(scene, canvas)
+        with pytest.raises(ValueError, match=message):
+            iter_frames(lowfi_timeline(100.0), HOURS10, LEAF_TWO_CURVY, dims, canvas)
+        assert svg._trunk_d.cache_info() == kept
 
     def test_glyph_extents_scale_with_device_dimensions(self):
         dims = DEVICE_DIMENSIONS["plantform"]

@@ -59,7 +59,9 @@ def copy_points(points):
 
 
 NAN = float("nan")
+INF = float("inf")
 BASE = ((10.0, 20.0), (11.5, 19.25), (12.0, 18.0))
+ONE = ((10.0, 20.0),)
 HAND_BUILT = {
     "extends-with-equal-copies": (
         GlyphPath(BASE),
@@ -87,13 +89,68 @@ HAND_BUILT = {
         GlyphPath((), closed=True),
         GlyphPath(BASE, closed=True),
     ),
+    "path-equal-to-the-previous": (
+        GlyphPath(BASE),
+        GlyphPath(BASE, closed=True),
+        GlyphPath(copy_points(BASE)),
+    ),
+    "one-point-paths": (
+        GlyphPath(ONE),
+        GlyphPath(ONE, closed=True),
+        GlyphPath(ONE + ((11.0, 21.0),)),
+        GlyphPath(((11.0, 21.0),)),
+    ),
+    "empty-then-points": (
+        GlyphPath((), closed=True),
+        GlyphPath(BASE, closed=True),
+    ),
+    "infinities": (
+        GlyphPath(((INF, 1.0), (-INF, 2.0))),
+        GlyphPath(((INF, 1.0), (-INF, 2.0), (3.0, INF), (-INF, -INF)), closed=True),
+    ),
 }
 
 
-@pytest.mark.parametrize("paths", HAND_BUILT.values(), ids=HAND_BUILT.keys())
+def projection(canvas, dims=DEVICE_DIMENSIONS["plantform"]):
+    """``(x0, y0, scale)``: the serializer's projection of ``dims`` on ``canvas``."""
+    width, height = canvas
+    world_w = 2 * (dims.glyph_max_extent + 0.08 * dims.chart_height) * 1.06
+    margin = svg.MARGIN_RATIO * min(width, height)
+    scale = min((width - 2 * margin) / world_w,
+                (height - 2 * margin) / (dims.chart_height * 1.12))
+    return width / 2, height - margin, scale
+
+
+def below_zero(canvas):
+    """A point whose coordinates both project to about -0.0003 on ``canvas``,
+    which ``%.3f`` prints as ``-0.000``."""
+    x0, y0, scale = projection(canvas)
+    point = ((-0.0003 - x0) / scale, (y0 + 0.0003) / scale)
+    assert "%.3f %.3f" % (x0 + point[0] * scale, y0 - point[1] * scale) == "-0.000 -0.000"
+    return point
+
+
+# Rows whose points depend on the canvas: a coordinate that rounds to
+# -0.000 in the prefix a path shares with the previous one, and in its rest.
+NEAR_ZERO = {
+    "minus-zero-in-the-prefix": lambda z: (
+        GlyphPath((z, (1.0, 2.0))),
+        GlyphPath((z, (1.0, 2.0), (3.0, 4.0)), closed=True),
+    ),
+    "minus-zero-in-the-rest": lambda z: (
+        GlyphPath(((1.0, 2.0),)),
+        GlyphPath(((1.0, 2.0), z, (3.0, 4.0), z), closed=True),
+    ),
+}
+
+
+@pytest.mark.parametrize("paths", [*HAND_BUILT.values(), *NEAR_ZERO.values()],
+                         ids=[*HAND_BUILT, *NEAR_ZERO])
 @pytest.mark.parametrize("canvas", [(1, 1), (480, 640), (1201, 333)])
 def test_hand_built_paths_equal_the_reference(paths, canvas):
     base = layout([0, 5, 10], [8, 9, 10], GALLERY_STYLES[0], DEVICE_DIMENSIONS["plantform"])
+    if callable(paths):
+        paths = paths(below_zero(canvas))
     glyph = Glyph(0, Decoration.LEAF, 0.5, "right", paths)
     scene = replace(base, glyphs=(glyph, glyph))
     assert render_svg(scene, canvas) == reference_render_svg(scene, canvas)
@@ -133,6 +190,18 @@ def test_the_trunk_texts_kept_are_bounded():
     hits = svg._trunk_d.cache_info().hits
     assert render_svg(scene, (width, 640)) == reference_render_svg(scene, (width, 640))
     assert svg._trunk_d.cache_info().hits == hits + 1
+
+
+def test_the_path_templates_kept_are_bounded():
+    base = layout([0, 5, 10], [8, 9, 10], GALLERY_STYLES[0], DEVICE_DIMENSIONS["plantform"])
+    for n in range(1, 3 * svg.TEMPLATE_CACHE_SIZE):
+        path = GlyphPath(tuple((1.0 + k, 2.0 + k) for k in range(n)), closed=True)
+        scene = replace(base, glyphs=(Glyph(0, Decoration.BAR, 0.5, "right", (path,)),))
+        render_svg(scene)
+        assert svg._template.cache_info().currsize <= svg.TEMPLATE_CACHE_SIZE
+    hits = svg._template.cache_info().hits
+    assert render_svg(scene) == reference_render_svg(scene)
+    assert svg._template.cache_info().hits == hits + 1
 
 
 def float_bits(glyphs):
