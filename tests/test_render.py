@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from plantchart import svg
 from plantchart.motion import (
     CAIRNSCREEN,
     PLANTSCREEN,
@@ -27,7 +28,6 @@ from plantchart.render import (
     layout_extents,
     parse_style,
 )
-from plantchart import svg
 from plantchart.svg import (
     GALLERY_HOURS,
     GALLERY_POSITIONS,
@@ -231,7 +231,8 @@ class TestRenderSvg:
         # The world window is subnormal, so the scale is infinite.
         ((1e-320, 0.0, 1e-320), (480, 640), "canvas (480, 640) and dims (1e-320, 0.0, 1e-320)"),
         # The canvas width is beyond the floats.
-        ((69.0, 6.5, 13.7), (10 ** 400, 640), f"canvas ({'1' + '0' * 78}... and dims (69.0, 6.5, 13.7)"),
+        ((69.0, 6.5, 13.7), (10 ** 400, 640),
+         f"canvas ({'1' + '0' * 78}... and dims (69.0, 6.5, 13.7)"),
     ], ids=["world-width-overflows", "world-subnormal", "canvas-beyond-floats"])
     def test_a_projection_that_is_not_finite_is_refused(self, dims, canvas, message):
         dims = ChartDimensions(*dims)
