@@ -31,6 +31,23 @@ leaf runs through the whole window on its own.  Every tick still takes its
 own float steps: the clock adds ``dt`` once a tick, and a leaf's budget is
 ``step_rate * dt`` plus its carry, once a tick.  Event times and sub-step
 carries are therefore the same as when the ticks run one at a time.
+
+Between its events a leaf runs in stretches, which count no steps.  A
+tick's budget ``b + rest`` is at least 0 once the carry ``rest`` is in
+``[0, 1)`` and ``b = step_rate * dt`` is positive, and for a budget at
+least 0, ``budget % 1.0`` has the same bits as ``budget - int(budget)``:
+both are exact.  So a stretch tick is ``rest = (b + rest) % 1.0`` alone.
+Over ``k`` ticks from carry ``r0`` to ``rest`` the steps taken sum to
+``r0 + k*b + E - rest``, where ``E`` is the sum of the ``k`` additions'
+roundings; with ``k`` and the steps of a stretch bounded (see
+``_STRETCH_STEPS``), ``|E|`` is below ``2**-22``, so the steps are that sum
+rounded to the nearest integer.  A stretch runs ``k = (guard - 1 - r0) /
+b`` ticks, floored, where ``guard`` is the steps to the next arrival or
+stop-sensor landing.  Its steps are at most ``r0 + k*b + E``, which exceeds
+``guard - 1`` by far less than a step if at all, so an integer count of
+them is at most ``guard - 1`` and no event falls inside a stretch.  The
+ticks at and around each event run one at a time, as do those with a
+carry outside ``[0, 1)``.
 """
 
 from __future__ import annotations
@@ -59,6 +76,12 @@ MAX_TICKS = 10**7
 #: Most ticks one window of the advance loop runs, which bounds its clock
 #: list; longer waits and motions take several windows.
 _WINDOW = 4096
+#: Most steps one stretch of the advance loop may take.  A stretch of k
+#: ticks, k at most ``_WINDOW + 2``, adds k budgets that sum to less than
+#: ``2**30 + k``; each add rounds by at most ``2**-53`` of its sum, so the
+#: roundings total less than ``2**-22`` steps.  A longer travel takes
+#: several stretches.
+_STRETCH_STEPS = 2**30
 _EPS = 1e-9
 
 
@@ -300,8 +323,13 @@ def _advance(
     the leaves do not interact and each leaf runs its whole window in one
     loop.  The clock list of a window repeats the per-tick ``clock + dt``
     additions, and each leaf repeats the per-tick ``budget_per_tick +
-    carry`` and ``budget - steps`` steps, so the state and the log bytes
-    do not depend on how the ticks are grouped into windows or calls.
+    carry`` additions, so the state and the log bytes do not depend on how
+    the ticks are grouped into windows or calls.  A leaf's run between its
+    events is a stretch: each of its ticks is ``rest = (budget_per_tick +
+    rest) % 1.0`` alone, and the steps of the stretch are read back once
+    from its first and last carry, as the module docstring shows.  Ticks
+    with an event, or with a carry outside ``[0, 1)``, count their steps
+    one tick at a time.
     Events go out by tick, then by leaf, with the relay last.  ``pending``
     is in dispatch order, so the commands due in a tick are the head of
     what is left.
@@ -390,7 +418,20 @@ def _advance(
             up = goal > step
             remaining = travel = abs(goal - step)
             at_zero = goal if up else -goal  # ``remaining`` when the step count is 0
-            for j in range(n):
+            j = 0
+            while j < n:
+                if budget_per_tick > 0 and 0.0 <= rest < 1.0:
+                    # A stretch: k ticks that end at least one step short
+                    # of the next arrival or stop-sensor landing.
+                    guard = remaining - at_zero if 0 < at_zero < remaining else remaining
+                    k = int(min(n - j, (min(guard, _STRETCH_STEPS) - 1 - rest) / budget_per_tick))
+                    if k > 0:
+                        start_rest = rest
+                        for _ in repeat(None, k):
+                            rest = (budget_per_tick + rest) % 1.0
+                        remaining -= round(start_rest + k * budget_per_tick - rest)
+                        j += k
+                        continue
                 budget = budget_per_tick + rest
                 steps = int(budget)
                 if steps >= remaining:  # min(int(budget), remaining) is the rest: arrival
@@ -407,6 +448,7 @@ def _advance(
                     rest = budget - steps
                 else:
                     rest = budget
+                j += 1
             else:
                 still.append(leaf)
             moved = travel - remaining

@@ -82,6 +82,9 @@ class ChartDimensions:
 
     def __post_init__(self):
         _checks.positive("chart_height", self.chart_height)
+        if not math.isfinite(self.chart_height * TRUNK_SAMPLES):  # the trunk's last point
+            raise ValueError(f"chart_height * {TRUNK_SAMPLES} must be finite, "
+                             f"got {_checks.quote(self.chart_height)}")
         _checks.non_negative("glyph_min_extent", self.glyph_min_extent)
         _checks.finite("glyph_max_extent", self.glyph_max_extent)
         if not self.glyph_min_extent < self.glyph_max_extent:
@@ -90,16 +93,6 @@ class ChartDimensions:
     def extent_cm(self, extent: float) -> float:
         return self.glyph_min_extent + (self.glyph_max_extent - self.glyph_min_extent) * extent
 
-
-# Measured glyph sizes of the four study devices (height, extent at
-# position 0, extent at position 10, all in centimeters).
-DEVICE_DIMENSIONS = {
-    "plantscreen": ChartDimensions(75.5, 4.7, 10.3),
-    "plantform": ChartDimensions(69.0, 6.5, 13.7),
-    "cairnscreen": ChartDimensions(73.7, 0.0, 25.0),
-    "cairnform": ChartDimensions(92.5, 35.0, 62.0),
-}
-DEFAULT_DIMENSIONS = DEVICE_DIMENSIONS["plantform"]
 
 CURVE_PERIODS = 1.5  # sine periods of a curvy trunk over the chart height
 CURVE_AMPLITUDE_RATIO = 0.06
@@ -111,6 +104,16 @@ RING_SAMPLES = 64
 BAR_THICKNESS_RATIO = 0.55  # of the per-hour slot height
 RING_THICKNESS_RATIO = 0.45
 BAMBOO_LEAFLET_SIZE = 0.9  # cm, static whatever the extent
+
+# Measured glyph sizes of the four study devices (height, extent at
+# position 0, extent at position 10, all in centimeters).
+DEVICE_DIMENSIONS = {
+    "plantscreen": ChartDimensions(75.5, 4.7, 10.3),
+    "plantform": ChartDimensions(69.0, 6.5, 13.7),
+    "cairnscreen": ChartDimensions(73.7, 0.0, 25.0),
+    "cairnform": ChartDimensions(92.5, 35.0, 62.0),
+}
+DEFAULT_DIMENSIONS = DEVICE_DIMENSIONS["plantform"]
 
 # Tables that depend on no chart, built once at import.  Each entry is the
 # same expression, in the same order, that the per-chart code would

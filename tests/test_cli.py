@@ -325,6 +325,7 @@ class TestBadInputs:
         pytest.param(["render", "--dims", "10,-5,-0.8"], None, 2, id="dims-negative-extents"),
         pytest.param(["render", "--dims", "10,-50,-20"], None, 2, id="dims-negative-scale"),
         pytest.param(["render", "--dims", "1e308,0,1e308"], None, 2, id="dims-world-overflows"),
+        pytest.param(["render", "--dims", "1e308,0,1"], None, 2, id="dims-trunk-overflows"),
         pytest.param(["render", "--frames", "FRAMES", "--dims", "1e-320,0,1e-320"], None, 2,
                      id="frames-dims-subnormal"),
         pytest.param(["render", "--canvas", "9" * 400 + "x640"], None, 2,

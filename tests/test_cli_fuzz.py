@@ -131,7 +131,7 @@ ARGV = st.one_of(
                                             "ring,one-sided,straight", "leaf,curvy", "x,y,z"])),
           _flag("--dims", st.sampled_from(sorted(DEVICE_DIMENSIONS) * 2
                                           + ["70,5,10", "nan,1,2", "1,2", "10,5,1", "a,b,c",
-                                             "10,-5,-0.8", "1e308,0,1e308"])),
+                                             "10,-5,-0.8", "1e308,0,1e308", "1e308,0,1"])),
           _flag("--canvas", st.sampled_from(["480x640", "64x64"] * 3
                                             + ["0x0", "-5x5", "480", "axb", "9" * 400 + "x640"])),
           _flag("--frames", st.sampled_from(["frames"] * 4 + UNUSABLE_PATHS[:3])),

@@ -125,6 +125,8 @@ class TestLayout:
         ((10.0, -5.0, -0.8), "^glyph_min_extent must be >= 0, got -5.0$"),
         ((10.0, -50.0, -20.0), "^glyph_min_extent must be >= 0, got -50.0$"),
         ((10.0, -1e-300, 2.0), "^glyph_min_extent must be >= 0, got -1e-300$"),
+        ((1e308, 0.0, 1.0), r"^chart_height \* 96 must be finite, got 1e\+308$"),
+        ((1.8727e306, 0.0, 1.0), r"^chart_height \* 96 must be finite, got 1.8727e\+306$"),
     ])
     def test_chart_dimensions_are_finite_with_a_positive_height(self, dims, message):
         with pytest.raises(ValueError, match=message):
@@ -227,7 +229,7 @@ class TestRenderSvg:
 
     @pytest.mark.parametrize("dims, canvas, message", [
         # The world width overflows, so the scale is 0.
-        ((1e308, 0.0, 1e308), (480, 640), "canvas (480, 640) and dims (1e+308, 0.0, 1e+308)"),
+        ((1.0, 0.0, 1e308), (480, 640), "canvas (480, 640) and dims (1.0, 0.0, 1e+308)"),
         # The world window is subnormal, so the scale is infinite.
         ((1e-320, 0.0, 1e-320), (480, 640), "canvas (480, 640) and dims (1e-320, 0.0, 1e-320)"),
         # The canvas width is beyond the floats.

@@ -8,6 +8,7 @@ reference's by its oracle.
 """
 
 import json
+import math
 import random
 from dataclasses import replace
 
@@ -303,3 +304,82 @@ def test_waits_and_motions_longer_than_many_thousand_ticks():
         MotionCommand(4, 0, 1, 2.9, 0.2),
     ), 3.1)
     assert_plan_matches_reference(device.initial_state(PLANTFORM), plan, dt)
+
+
+def hand_built(step, target, carry, step_rate=118.0, powered=True):
+    """A PLANTFORM controller with nothing pending whose leaf 0 is at
+    ``step`` on its way to ``target`` with sub-step ``carry``; powered, it
+    is mid-plan, as a plan stopped between ticks leaves it."""
+    ctrl = device.initial_state(PLANTFORM)
+    board = ctrl.boards[0]
+    first = replace(board.channels[0], current_step=step, target_step=target, step_carry=carry)
+    boards = (replace(board, channels=(first, *board.channels[1:])), *ctrl.boards[1:])
+    boards = tuple(replace(b, powered=powered) if b.board_id < device.MOTOR_BOARDS else b
+                   for b in boards)
+    return replace(ctrl, boards=boards, relay_on=powered, step_rate=step_rate)
+
+
+def assert_ticks_match_reference(ctrl, dt, most=200):
+    """``tick`` and ``reference_tick`` agree at every tick until the
+    reference is idle, for at most ``most`` ticks."""
+    ours = reference = ctrl
+    for _ in range(most):
+        ours, reference = device.tick(ours, dt), reference_tick(reference, dt)
+        assert ours == reference
+        if not reference.busy:
+            break
+    assert_same_run(ours, reference)
+    return reference
+
+
+def stop_sensor_ticks(ctrl):
+    return [e.t for e in ctrl.event_log if e.kind == "stop_sensor"]
+
+
+@pytest.mark.parametrize("start", [-50, -37, -12])
+def test_a_leaf_below_zero_logs_the_stop_sensor_on_its_way_up(start):
+    # At 1.18 steps a tick, leaf 0 crosses step 0 in the middle of a
+    # window; the sensor mark must not be skipped with the ticks around it.
+    ctrl = hand_built(start, start, 0.0, powered=False)
+    plan = MotionPlan("plantform", (MotionCommand(0, 0, 5, 0.0, 1.0),), 1.0)
+    reference = assert_plan_matches_reference(ctrl, plan, 0.01)
+    reached = [e.t for e in reference.event_log if e.kind == "target_reached"]
+    assert len(stop_sensor_ticks(reference)) == 1
+    assert stop_sensor_ticks(reference)[0] < reached[0]
+
+
+@pytest.mark.parametrize("carry", [-3.0, -0.5, 0.0, 1.0, 5.0])
+@pytest.mark.parametrize("step, target", [(3, -4), (-7, 9), (40, 2)])
+def test_mid_plan_carries_match_the_reference(carry, step, target):
+    assert_ticks_match_reference(hand_built(step, target, carry), 0.01)
+
+
+def test_a_subnormal_budget_per_tick_matches_the_reference():
+    dt = 1e-8
+    ctrl = hand_built(0, 100, 0.0, step_rate=1e-300)
+    assert 0 < ctrl.step_rate * dt < 2.2250738585072014e-308
+    ours = reference = ctrl
+    for _ in range(2):
+        ours, reference = device.tick(ours, dt), reference_tick(reference, dt)
+        assert ours == reference
+
+
+@pytest.mark.parametrize("step", [0, -3])
+@pytest.mark.parametrize("edge", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("nudge", [-1, 0, 1])
+def test_budgets_at_the_edge_of_a_stretch_match_the_reference(step, edge, nudge):
+    # From carry 0.25, a tick's budget lands just under, on or just over
+    # ``edge`` steps; at the next event ``guard - 1`` is 2 (the stop sensor,
+    # from step -3) or 3 (arrival at step 4, from step 0).
+    budget = edge - 0.25
+    for _ in range(abs(nudge)):
+        budget = math.nextafter(budget, nudge * math.inf)
+    assert_ticks_match_reference(hand_built(step, 4, 0.25, step_rate=budget), 1.0)
+
+
+def test_a_travel_far_beyond_2_to_the_30_steps_matches_the_reference():
+    # Leaf 0 runs 2**32 steps at about 3e8 a tick.  Dispatch carries a
+    # 16-bit target, so only a snapshot can hold a travel this long.
+    reference = assert_ticks_match_reference(hand_built(0, 2**32 + 5, 0.0, step_rate=3e8 + 0.37),
+                                             1.0)
+    assert reference.boards[0].channels[0].current_step == 2**32 + 5
