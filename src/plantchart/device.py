@@ -82,6 +82,9 @@ _WINDOW = 4096
 #: roundings total less than ``2**-22`` steps.  A longer travel takes
 #: several stretches.
 _STRETCH_STEPS = 2**30
+#: Most steps a leaf's full range may span: a ``set_target`` frame carries
+#: the target step in 16 bits, and targets run from 0 to the full range.
+STEPS_FULL_RANGE_MAX = 0xFFFF
 _EPS = 1e-9
 
 
@@ -201,7 +204,9 @@ class _Core:
     """The simulator's mutable state, one value per leaf or board in plain
     lists: leaf ``2*b + c`` is channel ``c`` of motor board ``b``.
     ``pending`` holds ``(dispatch_time, command)`` pairs in dispatch order,
-    as a plan queues them, and ``events`` the whole event log."""
+    as a plan queues them, and ``events`` the whole event log.  A snapshot
+    whose full range for a leaf is outside ``[1, STEPS_FULL_RANGE_MAX]`` is
+    refused, since some target on it would not fit a ``set_target`` frame."""
 
     __slots__ = ("current", "target", "full_range", "rotations", "carry", "powered",
                  "relay_on", "clock", "step_rate", "pending", "events")
@@ -212,6 +217,8 @@ class _Core:
         self.current = [channel.current_step for channel in channels]
         self.target = [channel.target_step for channel in channels]
         self.full_range = [channel.steps_full_range for channel in channels]
+        for leaf, steps in enumerate(self.full_range):
+            _checks.number_in(f"steps_full_range of leaf {leaf}", steps, 1, STEPS_FULL_RANGE_MAX)
         self.rotations = [channel.rotation_count for channel in channels]
         self.carry = [channel.step_carry for channel in channels]
         self.powered = [board.powered for board in motor]

@@ -14,11 +14,24 @@ Scene coordinates are centimeters, x to the right, y upward, origin at the
 trunk base.  Leaves are drawn with the blade hanging below the midrib, so a
 fully unfurled leaf never rises above the horizontal through its anchor.
 Layout is pure: scenes are immutable values.
+
+Geometry that depends on no data is built once.  The sines of the trunk's
+curve, the leaf's length shares and blade profile, and the ring's unit
+circle (``_RING_COS`` and ``_RING_SIN``, one entry per ring sample) are
+tables made at import, each entry the expression the per-chart code would
+evaluate, so every bit is kept.  A chart's trunk depends only on its form
+and its height, and :func:`layout_extents` takes it from a memo that keeps
+at most :data:`TRUNK_MEMO_SIZE` trunks, so charts of one device share one
+trunk object.  The memo keys on the height's type as well as its value:
+an int height and the float equal to it give different trunk points once
+``height * k`` is past 2**53, where the int product is exact and the float
+one rounds, and ``2**53 - 1`` as int and as float differ in 29 of 97.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,6 +114,8 @@ LEAF_MAX_CURL = 3 * math.pi  # total curl angle when fully furled
 LEAF_WIDTH_RATIO = 0.30  # blade width relative to midrib length
 LEAF_SAMPLES = 48
 RING_SAMPLES = 64
+#: Trunks kept by :func:`_trunk`, each for one trunk form and chart height.
+TRUNK_MEMO_SIZE = 16
 BAR_THICKNESS_RATIO = 0.55  # of the per-hour slot height
 RING_THICKNESS_RATIO = 0.45
 BAMBOO_LEAFLET_SIZE = 0.9  # cm, static whatever the extent
@@ -128,6 +143,9 @@ _LEAF_U_MID = tuple((k + 0.5) / LEAF_SAMPLES for k in range(LEAF_SAMPLES))
 #: half-width profile there.
 _LEAF_U = tuple(k / LEAF_SAMPLES for k in range(LEAF_SAMPLES + 1))
 _LEAF_SIN_PI_U = tuple(math.sin(math.pi * u) for u in _LEAF_U)
+#: ``cos`` and ``sin`` of ring sample ``k``'s angle, ``2*pi*k/RING_SAMPLES``.
+_RING_COS = tuple(math.cos(2 * math.pi * k / RING_SAMPLES) for k in range(RING_SAMPLES))
+_RING_SIN = tuple(math.sin(2 * math.pi * k / RING_SAMPLES) for k in range(RING_SAMPLES))
 
 LEFT = "left"
 RIGHT = "right"
@@ -206,14 +224,7 @@ def layout_extents(
     check_extents(extents, hours)
     n = len(hours)
     height = dims.chart_height
-    # The points of trunk_x at k / TRUNK_SAMPLES, with its sines from the table.
-    if style.trunk is TrunkForm.STRAIGHT:
-        points = [(0.0, height * k / TRUNK_SAMPLES) for k in range(TRUNK_SAMPLES + 1)]
-    else:
-        amplitude = CURVE_AMPLITUDE_RATIO * height
-        points = [(amplitude * wave, height * k / TRUNK_SAMPLES)
-                  for k, wave in enumerate(_TRUNK_WAVE)]
-    trunk = GlyphPath(tuple(points))
+    trunk = _trunk(style.trunk, height)
 
     anchors = []
     glyphs = []
@@ -231,6 +242,20 @@ def layout_extents(
         glyphs=tuple(glyphs),
         slot=height / n,
     )
+
+
+@functools.lru_cache(maxsize=TRUNK_MEMO_SIZE, typed=True)
+def _trunk(form: TrunkForm, height: float) -> GlyphPath:
+    """The points of :func:`trunk_x` at ``k / TRUNK_SAMPLES``, with its sines
+    from the table.  ``typed`` keys on the height's type, as the module
+    docstring explains."""
+    if form is TrunkForm.STRAIGHT:
+        points = [(0.0, height * k / TRUNK_SAMPLES) for k in range(TRUNK_SAMPLES + 1)]
+    else:
+        amplitude = CURVE_AMPLITUDE_RATIO * height
+        points = [(amplitude * wave, height * k / TRUNK_SAMPLES)
+                  for k, wave in enumerate(_TRUNK_WAVE)]
+    return GlyphPath(tuple(points))
 
 
 def check_extents(extents: list[float], hours: list[HourSlot]) -> None:
@@ -281,19 +306,6 @@ def place_anchor(
         )
         for glyph_side in sides
     )
-
-
-def glyph_extent_measure(scene: ChartScene, glyph: Glyph) -> float:
-    """The geometric quantity that encodes the data: outline arc length for
-    leaves, reach from the anchor for bars and bamboo, diameter for rings."""
-    primary = glyph.paths[0]
-    if glyph.decoration is Decoration.LEAF:
-        return primary.arc_length()
-    if glyph.decoration is Decoration.RING:
-        xs = [p[0] for p in primary.points]
-        return max(xs) - min(xs)
-    ax = scene.anchors[glyph.anchor_index].point[0]
-    return max(abs(x - ax) for x, _ in primary.points)
 
 
 def _right_paths(point, extent, style, dims, slot) -> tuple[GlyphPath, ...]:
@@ -406,17 +418,12 @@ def _leaf_from_blade(blade: GlyphPath) -> tuple[GlyphPath, GlyphPath]:
 
 def _ring_glyph(index, point, extent, style, dims, slot) -> Glyph:
     """An expanding ring, drawn concentric with the trunk so the scene stays
-    symmetric about the anchor."""
+    symmetric about the anchor.  Its unit circle comes from ``_RING_COS``
+    and ``_RING_SIN``."""
     ax, ay = point
     rx = dims.extent_cm(extent) / 2
     ry = RING_THICKNESS_RATIO * slot / 2
-    pts = tuple(
-        (
-            ax + rx * math.cos(2 * math.pi * k / RING_SAMPLES),
-            ay + ry * math.sin(2 * math.pi * k / RING_SAMPLES),
-        )
-        for k in range(RING_SAMPLES)
-    )
+    pts = tuple([(ax + rx * c, ay + ry * s) for c, s in zip(_RING_COS, _RING_SIN)])
     return Glyph(index, Decoration.RING, extent, RIGHT, (GlyphPath(pts, closed=True),))
 
 

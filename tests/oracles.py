@@ -13,7 +13,9 @@ text, the trunk oracle evaluates the trunk's offset and sine at every
 sample instead of reading the sines from a table, and the leaf layout
 oracle builds a leaf's midrib and blade as separate point tuples and
 mirrors every path of a left-hand leaf on its own, instead of mirroring
-the blade once and sharing its midrib prefix.
+the blade once and sharing its midrib prefix, and the ring oracle takes
+the cosine and sine of every sample's angle instead of reading them from
+a table.
 """
 
 from __future__ import annotations
@@ -46,9 +48,12 @@ from plantchart.render import (
     LEAF_WIDTH_RATIO,
     LEFT,
     RIGHT,
+    RING_SAMPLES,
+    RING_THICKNESS_RATIO,
     TRUNK_SAMPLES,
     Anchoring,
     Animation,
+    ChartScene,
     Decoration,
     Glyph,
     GlyphPath,
@@ -468,6 +473,20 @@ def reference_trunk(style, dims) -> GlyphPath:
                            for k in range(TRUNK_SAMPLES + 1)))
 
 
+def reference_ring_glyph(index, point, extent, dims, slot) -> Glyph:
+    """The glyph :func:`plantchart.render.place_anchor` must return for a
+    ring anchor at ``point``, with its unit circle evaluated at each sample."""
+    ax, ay = point
+    rx = dims.extent_cm(extent) / 2
+    ry = RING_THICKNESS_RATIO * slot / 2
+    points = tuple(
+        (ax + rx * math.cos(2 * math.pi * k / RING_SAMPLES),
+         ay + ry * math.sin(2 * math.pi * k / RING_SAMPLES))
+        for k in range(RING_SAMPLES)
+    )
+    return Glyph(index, Decoration.RING, extent, RIGHT, (GlyphPath(points, closed=True),))
+
+
 def reference_leaf_glyphs(index, point, side, extent, style, dims) -> tuple[Glyph, ...]:
     """The glyphs :func:`plantchart.render.place_anchor` must return for a
     leaf anchor at ``point`` on ``side``."""
@@ -518,3 +537,16 @@ def _reference_leaf_paths(point, extent, style, dims):
         blade_lower.append((mx + w * math.sin(angle), my - w * math.cos(angle)))
     blade = GlyphPath(tuple(midrib) + tuple(reversed(blade_lower)), closed=True)
     return (GlyphPath(tuple(midrib)), blade)
+
+
+def glyph_extent_measure(scene: ChartScene, glyph: Glyph) -> float:
+    """The geometric quantity that encodes the data: outline arc length for
+    leaves, reach from the anchor for bars and bamboo, diameter for rings."""
+    primary = glyph.paths[0]
+    if glyph.decoration is Decoration.LEAF:
+        return primary.arc_length()
+    if glyph.decoration is Decoration.RING:
+        xs = [p[0] for p in primary.points]
+        return max(xs) - min(xs)
+    ax = scene.anchors[glyph.anchor_index].point[0]
+    return max(abs(x - ax) for x, _ in primary.points)

@@ -12,7 +12,11 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from oracles import brute_force_variations, relative_position_from_thousandths
+from oracles import (
+    brute_force_variations,
+    glyph_extent_measure,
+    relative_position_from_thousandths,
+)
 from plantchart import device
 from plantchart.encoder import EncodingMode, encode_relative, encode_series
 from plantchart.fixtures import ANCHOR_TABLE_ROWS, FIXTURES
@@ -24,7 +28,7 @@ from plantchart.motion import (
     plan_for_profile,
 )
 from plantchart.protocol import ChecksumError, Frame, Opcode, decode_frame, encode_frame
-from plantchart.render import Anchoring, Decoration, glyph_extent_measure, layout
+from plantchart.render import Anchoring, Decoration, layout
 from plantchart.series import ForecastSeries, segment_variations
 from plantchart.svg import GALLERY_STYLES, design_space_gallery, render_svg
 

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from oracles import glyph_extent_measure
 from plantchart import svg
 from plantchart.motion import (
     CAIRNSCREEN,
@@ -23,7 +24,6 @@ from plantchart.render import (
     Decoration,
     TrunkForm,
     UnsupportedStyleError,
-    glyph_extent_measure,
     layout,
     layout_extents,
     parse_style,

@@ -1,17 +1,23 @@
 """Static charts and leaf layout against the references in ``oracles``:
 ``render_svg`` gives the line-by-line reference document byte for byte, also
 when one process draws many charts and reuses its trunk text;
-``layout_extents`` gives the reference trunk and ``place_anchor`` the
-first-written leaf glyphs down to the last float bit, which the criterion-7
-mirror check and ``glyph_extent_measure`` rely on."""
+``layout_extents`` gives the reference trunk, also when it is taken from
+the trunk memo, and ``place_anchor`` the first-written leaf and ring glyphs
+down to the last float bit, which the criterion-7 mirror check and
+``glyph_extent_measure`` rely on."""
 
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_leaf_glyphs, reference_render_svg, reference_trunk
-from plantchart import svg
+from oracles import (
+    reference_leaf_glyphs,
+    reference_render_svg,
+    reference_ring_glyph,
+    reference_trunk,
+)
+from plantchart import render, svg
 from plantchart.render import (
     DEVICE_DIMENSIONS,
     Anchoring,
@@ -172,6 +178,32 @@ def test_the_trunk_equals_the_reference_bit_for_bit(trunk, dims):
     assert (laid.closed, point_bits(laid)) == (want.closed, point_bits(want))
 
 
+@pytest.mark.parametrize("heights", [(2**53 - 1, float(2**53 - 1)), (float(2**53 - 1), 2**53 - 1)],
+                         ids=["int-first", "float-first"])
+@pytest.mark.parametrize("trunk", TrunkForm)
+def test_equal_heights_of_another_type_lay_out_their_own_trunk(trunk, heights):
+    # The int height's products are exact and the float's round: the two
+    # trunks differ in 29 of 97 points, though the heights compare equal.
+    style = ChartStyle(trunk, Anchoring.ONE_SIDED, Decoration.BAR, Animation.GROWTH)
+    for height in heights:
+        dims = ChartDimensions(height, 0, 1)
+        laid = layout_extents([0.0, 0.5, 1.0], [8, 9, 10], style, dims).trunk
+        assert point_bits(laid) == point_bits(reference_trunk(style, dims))
+
+
+def test_the_trunks_kept_are_bounded():
+    style = GALLERY_STYLES[1]
+    for height in range(10, 10 + 3 * render.TRUNK_MEMO_SIZE):
+        dims = ChartDimensions(float(height), 1.0, 2.0)
+        trunk = layout([0, 5, 10], [8, 9, 10], style, dims).trunk
+        assert render._trunk.cache_info().currsize <= render.TRUNK_MEMO_SIZE
+    hits = render._trunk.cache_info().hits
+    again = layout([10, 0, 5], [8, 9, 10], style, dims).trunk
+    assert render._trunk.cache_info().hits == hits + 1
+    assert again is trunk
+    assert point_bits(again) == point_bits(reference_trunk(style, dims))
+
+
 @pytest.mark.parametrize("style", [GALLERY_STYLES[0], GALLERY_STYLES[1]], ids=lambda s: s.label())
 @pytest.mark.parametrize("canvas", [(480, 640), (333, 1201)])
 def test_another_trunk_at_the_same_projection_is_formatted_anew(style, canvas):
@@ -228,3 +260,20 @@ def test_leaf_glyphs_equal_the_reference_bit_for_bit(trunk, anchoring, animation
     placed, glyphs = place_anchor(index, 8 + index, extent, n, style, dims)
     want = reference_leaf_glyphs(index, placed.point, placed.side, extent, style, dims)
     assert float_bits(glyphs) == float_bits(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(TrunkForm),
+    st.sampled_from(Animation),
+    dimensions | st.builds(ChartDimensions, st.floats(1e-6, 1e6), st.just(0.0), st.floats(1e-3, 1e3)),
+    st.integers(3, 10).flatmap(lambda n: st.lists(
+        st.floats(0, 1) | st.sampled_from([0.0, 1.0, 1 + 1e-9]), min_size=n, max_size=n)),
+)
+def test_ring_glyphs_equal_the_reference_bit_for_bit(trunk, animation, dims, extents):
+    n = len(extents)
+    style = ChartStyle(trunk, Anchoring.TWO_SIDED, Decoration.RING, animation)
+    scene = layout_extents(extents, list(range(8, 8 + n)), style, dims)
+    want = [reference_ring_glyph(i, anchor.point, extent, dims, dims.chart_height / n)
+            for i, (anchor, extent) in enumerate(zip(scene.anchors, extents))]
+    assert float_bits(scene.glyphs) == float_bits(want)

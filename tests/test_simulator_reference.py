@@ -30,6 +30,7 @@ from plantchart.motion import (
     plan_for_profile,
     transition_plan,
 )
+from plantchart.protocol import Frame, Opcode, decode_frame, encode_frame
 from plantchart.serve import ForecastService, plan_variation
 from plantchart.series import load_series, segment_variations
 
@@ -380,3 +381,39 @@ def test_a_travel_far_beyond_2_to_the_30_steps_matches_the_reference():
     reference = assert_ticks_match_reference(hand_built(0, 2**32 + 5, 0.0, step_rate=3e8 + 0.37),
                                              1.0)
     assert reference.boards[0].channels[0].current_step == 2**32 + 5
+
+
+def with_full_ranges(ctrl, ranges):
+    """``ctrl`` with leaf ``i``'s full range set to ``ranges[i]``."""
+    return replace(ctrl, boards=tuple(
+        replace(board, channels=tuple(
+            replace(channel, steps_full_range=ranges[2 * board.board_id + c])
+            for c, channel in enumerate(board.channels)))
+        for board in ctrl.boards))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.sampled_from([-5, 0, 1, 65535, 65536, 2**17]) | st.integers(1, 65535),
+             min_size=10, max_size=10),
+    st.lists(st.integers(0, 10), min_size=10, max_size=10),
+)
+def test_every_set_target_logged_encodes_as_a_frame(ranges, targets):
+    # A snapshot whose full range puts a target outside the frame's 16 bits
+    # is refused, naming the first such leaf, before anything is dispatched.
+    ctrl = replace(with_full_ranges(device.initial_state(PLANTFORM), ranges), step_rate=1e6)
+    plan = MotionPlan("plantform", tuple(
+        MotionCommand(leaf, 0, target, 0.0, 0.1) for leaf, target in enumerate(targets)), 0.1)
+    bad = [leaf for leaf, steps in enumerate(ranges)
+           if not 1 <= steps <= device.STEPS_FULL_RANGE_MAX]
+    if bad:
+        with pytest.raises(ValueError, match=f"steps_full_range of leaf {bad[0]} "):
+            device.run_plan(ctrl, plan)
+        return
+    for event in device.run_plan(ctrl, plan).event_log:
+        if event.kind == "set_target":
+            detail = dict(event.detail)
+            step = detail["target_step"]
+            frame = Frame(event.board, Opcode.SET_TARGET,
+                          bytes((detail["channel"], step >> 8, step & 0xFF)))
+            assert decode_frame(encode_frame(frame)) == frame
