@@ -25,6 +25,14 @@ state and log bytes as :func:`run_plan`.  The loop works on locals and
 writes them back to the core only when it completes, so a run that raises
 leaves the core as it was.
 
+The event log is an append-only list of plain ``(t, board, kind, detail)``
+tuples: the core only ever appends to it, and never changes or removes an
+entry.  A snapshot does not copy it.  Its ``event_log`` is a read-only view
+of the list's first ``len(events)`` entries, which later appends leave as
+they were, so a snapshot read costs the same however long the log has
+grown.  The view yields :class:`LogEvent` tuples and behaves as the tuple
+of them; a core built from a snapshot copies the viewed entries.
+
 The loop runs the ticks in windows that end where the next command
 dispatches.  Within a window the leaves do not interact, so each moving
 leaf runs through the whole window on its own.  Every tick still takes its
@@ -56,9 +64,10 @@ import json
 import marshal
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, repeat, starmap
+from itertools import accumulate, islice, repeat, starmap
+from typing import NamedTuple
 
 from . import _checks
 from .encoder import POSITION_MAX, POSITION_MIN, LeafPosition
@@ -122,12 +131,67 @@ class BoardState:
 _LED = BoardState(LED_BOARD, (), powered=True)
 
 
-@dataclass(frozen=True)
-class LogEvent:
+class LogEvent(NamedTuple):
+    """One entry of the event log.  The simulator appends plain 4-tuples
+    of these fields, in this order, to its append-only log; a snapshot's
+    ``event_log`` yields them as ``LogEvent`` values.  Being a tuple, a
+    ``LogEvent`` compares equal to a plain tuple of the same fields."""
+
     t: float
     board: int | None
     kind: str
     detail: tuple[tuple[str, object], ...]
+
+
+class _EventLog(Sequence):
+    """A read-only view of the first ``length`` entries of a core's event
+    list.  The core only appends to that list, so the view never changes,
+    and it costs the same to make whatever the list's length.  It yields
+    :class:`LogEvent` values and behaves as the tuple of them: it equals
+    that tuple and hashes alike, a slice of it is a tuple, and ``+`` with a
+    tuple, in either order, gives a tuple."""
+
+    __slots__ = ("_entries", "_length")
+
+    def __init__(self, entries: list, length: int):
+        self._entries = entries
+        self._length = length
+
+    def _prefix(self) -> Iterator[tuple]:
+        return islice(self._entries, self._length)
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        positions = range(self._length)[index]
+        if isinstance(positions, range):
+            return tuple(map(LogEvent._make, map(self._entries.__getitem__, positions)))
+        return LogEvent._make(self._entries[positions])
+
+    def __iter__(self) -> Iterator[LogEvent]:
+        return map(LogEvent._make, self._prefix())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _EventLog)):
+            return NotImplemented
+        return self._length == len(other) and tuple(self._prefix()) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._prefix()))
+
+    def __add__(self, other):
+        if not isinstance(other, (tuple, _EventLog)):
+            return NotImplemented
+        return (*self, *other)
+
+    def __radd__(self, other):
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return (*other, *self)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -138,11 +202,17 @@ class PendingCommand:
 
 @dataclass(frozen=True)
 class ControllerState:
+    """A frozen snapshot of the controller.  ``event_log`` is the log so
+    far as a sequence of :class:`LogEvent` values: a tuple when built by hand,
+    and when taken from a simulator core, a read-only view that shares a
+    prefix of the core's append-only list of 4-tuples.  Taking or reading
+    a snapshot thus costs the same at any length of the log."""
+
     boards: tuple[BoardState, ...]
     relay_on: bool
     clock: float
     step_rate: float
-    event_log: tuple[LogEvent, ...] = ()
+    event_log: Sequence[LogEvent] = ()
     pending: tuple[PendingCommand, ...] = ()
 
     @property
@@ -191,48 +261,68 @@ def _steps_to_position(step: int, steps_full_range: int) -> LeafPosition:
     return _round_half_up(step / steps_full_range * 10)
 
 
+def _channels(ctrl: ControllerState) -> list[LeafChannel]:
+    """The leaf channels of ``ctrl``, by leaf."""
+    return [channel for board in ctrl.boards[:MOTOR_BOARDS] for channel in board.channels]
+
+
+def _full_ranges(channels: list[LeafChannel]) -> list[int]:
+    """Each channel's full range, refused with a ``ValueError`` naming the
+    leaf when it is outside ``[1, STEPS_FULL_RANGE_MAX]``."""
+    full_range = [channel.steps_full_range for channel in channels]
+    for leaf, steps in enumerate(full_range):
+        _checks.number_in(f"steps_full_range of leaf {leaf}", steps, 1, STEPS_FULL_RANGE_MAX)
+    return full_range
+
+
 def leaf_positions(ctrl: ControllerState) -> list[LeafPosition]:
-    """Per-leaf discrete positions read back from the step counters."""
-    return [
-        _steps_to_position(channel.current_step, channel.steps_full_range)
-        for board in ctrl.boards[:MOTOR_BOARDS]
-        for channel in board.channels
-    ]
+    """Per-leaf discrete positions read back from the step counters.  A
+    snapshot with a leaf's full range outside ``[1, STEPS_FULL_RANGE_MAX]``
+    is refused, as the simulator refuses it."""
+    channels = _channels(ctrl)
+    current = [channel.current_step for channel in channels]
+    return list(map(_steps_to_position, current, _full_ranges(channels)))
 
 
 class _Core:
     """The simulator's mutable state, one value per leaf or board in plain
     lists: leaf ``2*b + c`` is channel ``c`` of motor board ``b``.
     ``pending`` holds ``(dispatch_time, command)`` pairs in dispatch order,
-    as a plan queues them, and ``events`` the whole event log.  A snapshot
-    whose full range for a leaf is outside ``[1, STEPS_FULL_RANGE_MAX]`` is
-    refused, since some target on it would not fit a ``set_target`` frame."""
+    as a plan queues them, and ``events`` the whole event log, a list of
+    ``(t, board, kind, detail)`` tuples that only ever grows by appends.
+    A snapshot whose full range for a leaf is outside ``[1,
+    STEPS_FULL_RANGE_MAX]`` is refused, since some target on it would not
+    fit a ``set_target`` frame."""
 
     __slots__ = ("current", "target", "full_range", "rotations", "carry", "powered",
                  "relay_on", "clock", "step_rate", "pending", "events")
 
     def __init__(self, ctrl: ControllerState):
-        motor = ctrl.boards[:MOTOR_BOARDS]
-        channels = [channel for board in motor for channel in board.channels]
+        channels = _channels(ctrl)
         self.current = [channel.current_step for channel in channels]
         self.target = [channel.target_step for channel in channels]
-        self.full_range = [channel.steps_full_range for channel in channels]
-        for leaf, steps in enumerate(self.full_range):
-            _checks.number_in(f"steps_full_range of leaf {leaf}", steps, 1, STEPS_FULL_RANGE_MAX)
+        self.full_range = _full_ranges(channels)
         self.rotations = [channel.rotation_count for channel in channels]
         self.carry = [channel.step_carry for channel in channels]
-        self.powered = [board.powered for board in motor]
+        self.powered = [board.powered for board in ctrl.boards[:MOTOR_BOARDS]]
         self.relay_on = ctrl.relay_on
         self.clock = ctrl.clock
         self.step_rate = ctrl.step_rate
         self.pending = [(item.dispatch_time, item.command) for item in ctrl.pending]
-        self.events = list(ctrl.event_log)
+        log = ctrl.event_log
+        if type(log) is _EventLog:  # the viewed prefix, one slice of the shared list
+            self.events = log._entries[:log._length]
+        else:
+            self.events = list(log)
 
     def snapshot(self) -> ControllerState:
+        """The core's state, with a view of its log as it stands: later
+        appends do not show in the snapshot."""
         boards = _boards(self.powered, self.current, self.target, self.full_range,
                          self.rotations, self.carry)
         return ControllerState(boards, self.relay_on, self.clock, self.step_rate,
-                               tuple(self.events), tuple(starmap(PendingCommand, self.pending)))
+                               _EventLog(self.events, len(self.events)),
+                               tuple(starmap(PendingCommand, self.pending)))
 
     def positions(self) -> list[LeafPosition]:
         """:func:`leaf_positions` of the core."""
@@ -277,7 +367,7 @@ def _queue(core: _Core, plan: MotionPlan) -> tuple:
     pending = [(clock + cmd.start_time, cmd) for cmd in plan.commands]
     if not pending or core.relay_on:
         return core.relay_on, core.powered, pending, []
-    relay = LogEvent(clock, None, "relay", (("on", True),))
+    relay = (clock, None, "relay", (("on", True),))
     return True, [True] * MOTOR_BOARDS, pending, [relay]
 
 
@@ -375,25 +465,21 @@ def _advance(
                 leaf = command.leaf
                 board_id, channel_id = divmod(leaf, 2)
                 steps = position_to_steps(command.target, full_range[leaf])
-                events.append(
-                    LogEvent(
-                        dispatch_time,
-                        board_id,
-                        "set_target",
-                        (
-                            ("leaf", leaf),
-                            ("channel", channel_id),
-                            ("from_step", current[leaf]),
-                            ("target_step", steps),
-                        ),
-                    )
-                )
+                events.append((
+                    dispatch_time,
+                    board_id,
+                    "set_target",
+                    (
+                        ("leaf", leaf),
+                        ("channel", channel_id),
+                        ("from_step", current[leaf]),
+                        ("target_step", steps),
+                    ),
+                ))
                 withheld = max(0.0, dispatch_time - clock)
                 target[leaf] = steps
                 carry[leaf] = -withheld * step_rate
-                events.append(
-                    LogEvent(dispatch_time, board_id, "ack", (("leaf", leaf),))
-                )
+                events.append((dispatch_time, board_id, "ack", (("leaf", leaf),)))
             moving = [leaf for leaf in range(len(current)) if current[leaf] != target[leaf]]
 
         # The window's length is a guess at the ticks up to the next
@@ -477,14 +563,14 @@ def _advance(
         for j, leaf, kind in sorted(marks):
             t = clocks[j + 1]
             if kind == 2:
-                events.append(LogEvent(t, None, "relay", (("on", False),)))
+                events.append((t, None, "relay", (("on", False),)))
                 continue
             board_id = leaf >> 1
             if kind == 0:
-                events.append(LogEvent(t, board_id, "stop_sensor", (("leaf", leaf),)))
+                events.append((t, board_id, "stop_sensor", (("leaf", leaf),)))
             else:
-                events.append(LogEvent(t, board_id, "target_reached",
-                                       (("leaf", leaf), ("step", current[leaf]))))
+                events.append((t, board_id, "target_reached",
+                               (("leaf", leaf), ("step", current[leaf]))))
         clock = clocks[n]
         if duration is None:
             break
@@ -501,8 +587,9 @@ def _due_before(new_clock: float) -> float:
     return new_clock - _EPS
 
 
-def events_to_ndjson(events: Iterable[LogEvent]) -> str:
-    """Serialize the event log as newline-delimited JSON records.
+def events_to_ndjson(events: Iterable[tuple]) -> str:
+    """Serialize the event log, ``(t, board, kind, detail)`` tuples such as
+    :class:`LogEvent` values, as newline-delimited JSON records.
 
     Each line is ``json.dumps`` with sorted keys of the record ``{"t": t,
     "board": board, "kind": kind, "detail": dict(detail)}``.  A log repeats
@@ -517,25 +604,24 @@ def events_to_ndjson(events: Iterable[LogEvent]) -> str:
     heads: dict[bytes, str] = {}
     lines = []
     last_t = t_text = None
-    for event in events:
-        t = event.t
+    for t, board, kind, detail in events:
         try:  # version 2 has no back-references, which depend on refcounts
-            key = marshal.dumps((event.board, event.kind, event.detail), 2)
+            key = marshal.dumps((board, kind, detail), 2)
         except ValueError:
             key = None
         if key is None or type(t) is not float or not math.isfinite(t):
-            lines.append(_record_json(event, t) + "\n")
+            lines.append(_record_json(t, board, kind, detail) + "\n")
             continue
         head = heads.get(key)
         if head is None:
             # "t" sorts last, so the line ends in '"t": 0.0}'; cut "0.0}".
-            head = heads[key] = _record_json(event, 0.0)[:-4]
+            head = heads[key] = _record_json(0.0, board, kind, detail)[:-4]
         if t is not last_t:  # the events of one tick share their time
             last_t, t_text = t, float.__repr__(t) + "}\n"
         lines.append(head + t_text)
     return "".join(lines)
 
 
-def _record_json(event: LogEvent, t: object) -> str:
-    record = {"t": t, "board": event.board, "kind": event.kind, "detail": dict(event.detail)}
+def _record_json(t, board, kind, detail) -> str:
+    record = {"t": t, "board": board, "kind": kind, "detail": dict(detail)}
     return json.dumps(record, sort_keys=True)

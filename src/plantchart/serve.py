@@ -145,7 +145,9 @@ class ForecastService:
     """Drives one simulated device from a stream of forecast payloads.
 
     The device's state lives in one simulator core that the service keeps
-    from payload to payload; :attr:`controller` is its snapshot.
+    from payload to payload; :attr:`controller` is its snapshot.  The
+    core's event log is an append-only list of ``(t, board, kind, detail)``
+    tuples, which :meth:`event_log_ndjson` serializes.
     ``rejections`` counts the rejected payloads; ``rejected`` keeps the
     reasons of the latest :data:`REJECTIONS_KEPT` of them, oldest first.
     """
@@ -168,7 +170,10 @@ class ForecastService:
     @property
     def controller(self) -> device.ControllerState:
         """The device's current state, built on the first read after a plan
-        was played and shared by the reads until the next one."""
+        was played and shared by the reads until the next one.  Its
+        ``event_log`` is a read-only view of the log's prefix written so
+        far, shared with the core rather than copied, so a read costs the
+        same however long the service has run."""
         if self._snapshot is None:
             self._snapshot = self._core.snapshot()
         return self._snapshot

@@ -23,13 +23,16 @@ class WallLimitExceeded(BaseException):
 def _wall_limit(seconds: float):
     """Raise :class:`WallLimitExceeded` in the block once ``seconds`` of wall
     time have passed, by ``SIGALRM``; then disarm the timer and restore the
-    previous handler."""
+    previous handler.  The alarm repeats every ``seconds`` until the block
+    ends: one that lands in a ``gc`` callback, such as the one Hypothesis
+    registers, is only reported as unraisable, and the next one stops the
+    block."""
 
     def expire(signum, frame):
         raise WallLimitExceeded(f"ran past its {seconds} s wall limit")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, seconds, seconds)
     try:
         yield
     finally:

@@ -2,9 +2,10 @@
 
 ``device.events_to_ndjson`` serializes each distinct event head once and
 appends each event's time to it.  Its output must be the reference's, byte
-for byte, for any events: values that compare equal but serialize
-differently (``1``, ``1.0``, ``True``) share no head, and an event the
-reference cannot serialize fails the same way.
+for byte, for any events, given as ``LogEvent`` values or as the plain
+``(t, board, kind, detail)`` tuples the simulator logs: values that compare
+equal but serialize differently (``1``, ``1.0``, ``True``) share no head,
+and an event the reference cannot serialize fails the same way.
 """
 
 import math
@@ -43,12 +44,13 @@ times = st.one_of(
 @st.composite
 def event_logs(draw):
     """Events drawn from a few heads and times, so that heads repeat and
-    events share one time object, as in a simulator log."""
+    events share one time object, as in a simulator log.  Each event is a
+    ``LogEvent`` or a plain 4-tuple, as the simulator logs it."""
     heads = draw(st.lists(st.tuples(boards, kinds, details), min_size=1, max_size=5))
     ts = draw(st.lists(times, min_size=1, max_size=4))
-    picks = st.tuples(st.sampled_from(heads), st.sampled_from(ts))
-    return tuple(LogEvent(t, board, kind, detail)
-                 for (board, kind, detail), t in draw(st.lists(picks, max_size=12)))
+    picks = st.tuples(st.sampled_from(heads), st.sampled_from(ts), st.booleans())
+    return tuple(LogEvent(t, *head) if named else (t, *head)
+                 for head, t, named in draw(st.lists(picks, max_size=12)))
 
 
 def outcome(serialize, events):
@@ -72,8 +74,10 @@ TIMES = tuple(LogEvent(t, 0, "ack", ()) for t in (-0.0, 0.0, math.inf, math.nan,
 @example((LogEvent(1.0, 0, "ßeta", (("k", 1), ("k", True), ("ключ", "ü"))),) * 2)
 @example((LogEvent(1.0, 0, "ack", (("xs", [1]),)), LogEvent(1.0, 0, "ack", (("xs", [True]),))))
 @example((LogEvent(1.0, 0, "ack", (("b", b"x"),)),))
+@example(((0.5, None, "relay", (("on", True),)), LogEvent(0.5, None, "relay", (("on", True),))))
 def test_same_bytes_as_the_reference(events):
-    assert outcome(events_to_ndjson, events) == outcome(reference_events_to_ndjson, events)
+    named = [LogEvent(*event) for event in events]
+    assert outcome(events_to_ndjson, events) == outcome(reference_events_to_ndjson, named)
 
 
 def test_equal_values_of_other_types_keep_their_own_text():

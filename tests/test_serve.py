@@ -1,5 +1,6 @@
 import json
 import threading
+import tracemalloc
 
 import pytest
 
@@ -220,6 +221,23 @@ class TestForecastService:
         back = MotionPlan("quick", (MotionCommand(0, 1, 0, 0.0, 30.0),), 30.0)
         service.play(back)
         assert service.controller == device.run_plan(before, back, 0.5)
+
+    def test_a_controller_read_allocates_the_same_at_any_uptime(self):
+        # At 8 bytes a log entry, a copy of a 20,000-event log alone would
+        # allocate 160 kB; the snapshot shares the log instead.
+        service = ForecastService(PLANTFORM)
+        days = [payload_for((8, 12, 17)), payload_for((9, 10, 16))]
+        while len(service.controller.event_log) < 20_000:
+            assert service.handle_payload(days[service.accepted % 2])
+        assert service.handle_payload(days[service.accepted % 2])
+        tracemalloc.start()
+        try:
+            ctrl = service.controller
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ctrl.event_log) > 20_000
+        assert peak < 32_000
 
     def test_absolute_mode_service(self):
         service = ForecastService(CAIRNSCREEN, EncodingMode.ABSOLUTE_LINEAR, tick=0.5)

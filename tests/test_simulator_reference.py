@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import reference_events_to_ndjson, reference_run_plan, reference_tick
+from strategies import grid_series
 from plantchart import device
 from plantchart.encoder import EncodingMode
 from plantchart.motion import (
@@ -417,3 +418,69 @@ def test_every_set_target_logged_encodes_as_a_frame(ranges, targets):
             frame = Frame(event.board, Opcode.SET_TARGET,
                           bytes((detail["channel"], step >> 8, step & 0xFF)))
             assert decode_frame(encode_frame(frame)) == frame
+
+
+@pytest.mark.parametrize("steps", [-5, 0, 65536, 2**17])
+def test_leaf_positions_refuses_a_full_range_the_simulator_refuses(steps):
+    ranges = list(PLANTFORM.steps_full_range)
+    ranges[3] = steps
+    ctrl = with_full_ranges(device.initial_state(PLANTFORM), ranges)
+    with pytest.raises(ValueError) as refused:
+        device.tick(ctrl, device.DEFAULT_TICK)
+    with pytest.raises(ValueError, match="steps_full_range of leaf 3 ") as read:
+        device.leaf_positions(ctrl)
+    assert str(read.value) == str(refused.value)
+
+
+def forecast_payload(series):
+    return json.dumps({"samples": [{"hour": hour, "rate": rate}
+                                   for hour, rate in zip(series.hours, series.rates)]})
+
+
+payloads = st.one_of(grid_series().map(forecast_payload),
+                     st.sampled_from(['{"samples": [', '{"samples": [{"hour": 9}]}']))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    profile=st.sampled_from([PLANTFORM, CAIRNFORM, PLANTSCREEN]),
+    before=st.lists(payloads, min_size=1, max_size=4),
+    after=st.lists(payloads, min_size=1, max_size=4),
+    targets=positions,
+    data=st.data(),
+)
+def test_a_snapshot_keeps_the_log_it_held_when_taken(profile, before, after, targets, data):
+    """A snapshot's log is a view of the service's growing log; later
+    payloads must not show in it, and it must act as the tuple it held."""
+    service = ForecastService(profile)
+    for payload in before:
+        service.handle_payload(payload)
+    snapshot = service.controller
+    held = tuple(snapshot.event_log)
+    assert all(type(event) is device.LogEvent for event in held)
+    for payload in after:
+        service.handle_payload(payload)
+    log, n = snapshot.event_log, len(held)
+    later = tuple(service.controller.event_log)[n:]
+
+    assert len(log) == n
+    for i in range(-n, n):
+        assert type(log[i]) is device.LogEvent and log[i] == held[i]
+    for i in (-n - 1, n):
+        with pytest.raises(IndexError):
+            log[i]
+    for cut in data.draw(st.lists(st.slices(n + 2), max_size=4)):
+        assert type(log[cut]) is tuple and log[cut] == held[cut]
+    assert list(log) == list(held)
+    assert log == held and held == log and not log != held
+    assert hash(log) == hash(held)
+    assert log + later == held + later and type(log + later) is tuple
+    assert later + log == later + held and type(later + log) is tuple
+    assert snapshot == replace(snapshot, event_log=held)
+    assert hash(snapshot) == hash(replace(snapshot, event_log=held))
+
+    logged = service.event_log_ndjson()
+    plan = transition_plan(device.leaf_positions(snapshot), targets, profile)
+    assert_same_run(device.run_plan(snapshot, plan),
+                    reference_run_plan(snapshot, plan, device.DEFAULT_TICK))
+    assert service.event_log_ndjson() == logged
