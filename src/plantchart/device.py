@@ -133,9 +133,11 @@ _LED = BoardState(LED_BOARD, (), powered=True)
 
 class LogEvent(NamedTuple):
     """One entry of the event log.  The simulator appends plain 4-tuples
-    of these fields, in this order, to its append-only log; a snapshot's
-    ``event_log`` yields them as ``LogEvent`` values.  Being a tuple, a
-    ``LogEvent`` compares equal to a plain tuple of the same fields."""
+    of these fields, in this order, to its append-only log.  A snapshot's
+    ``event_log`` is a read-only view that shares a prefix of that log, so
+    reading it costs the same at any length of the log, and it yields the
+    entries as ``LogEvent`` values.  Being a tuple, a ``LogEvent`` compares
+    equal to a plain tuple of the same fields."""
 
     t: float
     board: int | None
@@ -175,7 +177,7 @@ class _EventLog(Sequence):
     def __eq__(self, other) -> bool:
         if not isinstance(other, (tuple, _EventLog)):
             return NotImplemented
-        return self._length == len(other) and tuple(self._prefix()) == tuple(other)
+        return tuple(self._prefix()) == tuple(other)
 
     def __hash__(self) -> int:
         return hash(tuple(self._prefix()))

@@ -170,10 +170,11 @@ class ForecastService:
     @property
     def controller(self) -> device.ControllerState:
         """The device's current state, built on the first read after a plan
-        was played and shared by the reads until the next one.  Its
-        ``event_log`` is a read-only view of the log's prefix written so
-        far, shared with the core rather than copied, so a read costs the
-        same however long the service has run."""
+        was played and shared by the reads until the next one.  The core's
+        log is an append-only list of 4-tuples; the snapshot's
+        ``event_log`` is a read-only view of the prefix written so far,
+        shared with the core rather than copied, so a read costs the same
+        however long the service has run."""
         if self._snapshot is None:
             self._snapshot = self._core.snapshot()
         return self._snapshot
