@@ -11,10 +11,11 @@ whose text occurs exactly once in it (``tests/test_mutants.py`` checks this
 at HEAD, so the table cannot rot unseen).  The revision is exported with
 ``git archive`` into a fresh temporary directory per run, one copy at a
 time, and Tier-1 runs there with ``-x``, ``PYTHONDONTWRITEBYTECODE=1`` and no
-pytest cache, less the table's own test.  The unmutated copy runs first: a mutant counts as killed only
-if that clean run passed.  Each line then gives a mutant's name, killed or
-survived, the wall time and the first failing test.  The exit status is 1
-if the clean run failed or a mutant survived.
+pytest cache, less the table's own test.  The unmutated copy runs first: a
+mutant counts as killed only if that clean run passed.  Each line then
+gives a mutant's name, killed or survived, the wall time and the first
+failing test.  The exit status is 1 if the clean run failed or a mutant
+survived.
 """
 
 from __future__ import annotations
