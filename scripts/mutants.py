@@ -3,14 +3,12 @@
 
     python3 scripts/mutants.py                  # every mutant, on HEAD
     python3 scripts/mutants.py NAME [NAME ...]  # only these
-    python3 scripts/mutants.py --rev REV        # on another revision
-    python3 scripts/mutants.py --list
 
 Each mutant in :data:`MUTANTS` is one exact text replacement in one file,
 whose text occurs exactly once in it (``tests/test_mutants.py`` checks this
-at HEAD, so the table cannot rot unseen).  The revision is exported with
-``git archive`` into a fresh temporary directory per run, one copy at a
-time, and Tier-1 runs there with ``-x``, ``PYTHONDONTWRITEBYTECODE=1`` and no
+at HEAD, so the table cannot rot unseen).  HEAD is exported with ``git
+archive`` into a fresh temporary directory per run, one copy at a time,
+and Tier-1 runs there with ``-x``, ``PYTHONDONTWRITEBYTECODE=1`` and no
 pytest cache, less the table's own test.  The unmutated copy runs first: a
 mutant counts as killed only if that clean run passed.  Each line then
 gives a mutant's name, killed or survived, the wall time and the first
@@ -124,10 +122,10 @@ def mutate(tree: Path, mutant: Mutant) -> None:
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
 
 
-def run(rev: str, mutant: Mutant | None) -> Outcome:
-    """Tier-1 on a fresh export of ``rev``, with ``mutant`` made if given."""
+def run(mutant: Mutant | None) -> Outcome:
+    """Tier-1 on a fresh export of HEAD, with ``mutant`` made if given."""
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
-        tree = export(rev, Path(tmp, "tree"))
+        tree = export("HEAD", Path(tmp, "tree"))
         if mutant is not None:
             mutate(tree, mutant)
         return tier1(tree)
@@ -136,27 +134,20 @@ def run(rev: str, mutant: Mutant | None) -> Outcome:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", metavar="NAME")
-    parser.add_argument("--rev", default="HEAD")
-    parser.add_argument("--list", action="store_true")
     args = parser.parse_args(argv)
     by_name = {mutant.name: mutant for mutant in MUTANTS}
     unknown = [name for name in args.names if name not in by_name]
     if unknown:
         parser.error(f"unknown mutant {', '.join(unknown)}")
     chosen = [by_name[name] for name in args.names] or list(MUTANTS)
-    if args.list:
-        for mutant in chosen:
-            print(f"{mutant.name}  {mutant.path}")
-        return 0
-
-    clean = run(args.rev, None)
+    clean = run(None)
     print(f"{'clean':38} {'FAILED' if clean.failed else 'passed':8} {clean.seconds:7.1f} s  "
           f"{clean.first_failure}", flush=True)
     if clean.failed:
         return 1
     survived = 0
     for mutant in chosen:
-        outcome = run(args.rev, mutant)
+        outcome = run(mutant)
         survived += not outcome.failed
         print(f"{mutant.name:38} {'killed' if outcome.failed else 'SURVIVED':8} "
               f"{outcome.seconds:7.1f} s  {outcome.first_failure}", flush=True)
