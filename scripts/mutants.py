@@ -36,6 +36,9 @@ TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-co
          "--ignore=tests/test_mutants.py"]
 
 DEVICE = "src/plantchart/device.py"
+MOTION = "src/plantchart/motion.py"
+SERIES = "src/plantchart/series.py"
+SERVE = "src/plantchart/serve.py"
 RENDER = "src/plantchart/render.py"
 SVG = "src/plantchart/svg.py"
 CHECKS = "src/plantchart/_checks.py"
@@ -65,15 +68,27 @@ MUTANTS = (
            "steps, 1, STEPS_FULL_RANGE_MAX)", "steps, 1, STEPS_FULL_RANGE_MAX + 1)"),
     Mutant("log-head-keyed-by-value", DEVICE,
            "key = marshal.dumps((board, kind, detail), 2)", "key = (board, kind, detail)"),
+    Mutant("log-head-fallback-dropped", DEVICE,
+           "except ValueError:\n            key = None", "except TypeError:\n            key = None"),
     Mutant("log-view-sees-later-events", DEVICE,
            "return islice(self._entries, self._length)", "return iter(self._entries)"),
     Mutant("core-shares-the-snapshot-log", DEVICE,
-           "self.events = log._entries[:log._length]", "self.events = log._entries"),
+           "self.events = list(ctrl.event_log)",
+           'self.events = getattr(ctrl.event_log, "_entries", None) or list(ctrl.event_log)'),
     Mutant("checks-take-a-bool-for-a-number", CHECKS,
            "def is_number(value) -> bool:\n"
            "    return isinstance(value, (int, float)) and type(value) is not bool",
            "def is_number(value) -> bool:\n"
            "    return isinstance(value, (int, float))"),
+    # The reset rule, the document readers and the feed loop.
+    Mutant("transition-wipes-a-furled-device", MOTION,
+           "if not (profile.reset_before_next_variation and any(current)):",
+           "if not profile.reset_before_next_variation:"),
+    Mutant("csv-row-width-unchecked", SERIES, "if len(row) != 2:", "if len(row) > 2:"),
+    Mutant("json-sample-object-unchecked", SERIES,
+           "if not isinstance(sample, dict):", "if False:"),
+    Mutant("service-polls-a-closed-feed", SERVE,
+           "except FeedClosed:\n            break", "except FeedClosed:\n            continue"),
     # Layout and SVG tables and caches.
     Mutant("trunk-memo-untyped", RENDER,
            "lru_cache(maxsize=TRUNK_MEMO_SIZE, typed=True)",

@@ -311,11 +311,7 @@ class _Core:
         self.clock = ctrl.clock
         self.step_rate = ctrl.step_rate
         self.pending = [(item.dispatch_time, item.command) for item in ctrl.pending]
-        log = ctrl.event_log
-        if type(log) is _EventLog:  # the viewed prefix, one slice of the shared list
-            self.events = log._entries[:log._length]
-        else:
-            self.events = list(log)
+        self.events = list(ctrl.event_log)
 
     def snapshot(self) -> ControllerState:
         """The core's state, with a view of its log as it stands: later
@@ -329,11 +325,6 @@ class _Core:
     def positions(self) -> list[LeafPosition]:
         """:func:`leaf_positions` of the core."""
         return list(map(_steps_to_position, self.current, self.full_range))
-
-    def submit(self, plan: MotionPlan) -> None:
-        """:func:`submit_plan` on the core."""
-        self.relay_on, self.powered, self.pending, events = _queue(self, plan)
-        self.events += events
 
     def run(self, plan: MotionPlan, dt: float) -> None:
         """:func:`run_plan` on the core."""
@@ -351,7 +342,8 @@ def submit_plan(ctrl: ControllerState, plan: MotionPlan) -> ControllerState:
     will be dispatched when its start time arrives.  The relay stays on
     until nothing is pending or moving."""
     core = _Core(ctrl)
-    core.submit(plan)
+    core.relay_on, core.powered, core.pending, events = _queue(core, plan)
+    core.events += events
     return core.snapshot()
 
 

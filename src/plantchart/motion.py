@@ -8,8 +8,8 @@ travelled distance: a leaf covering ``d`` of its 10 positions takes
 Graphical devices animate every hour for ``per_rate_frame_time`` seconds.
 
 Profiles also fix the reset policy used between two displayed variations:
-screen devices wipe everything back to position 0 first, shape-changing
-devices move directly to the next targets.
+screen devices wipe everything back to position 0 first unless every leaf
+is there already, shape-changing devices move directly to the next targets.
 
 Plans are immutable values; they serialize to JSON for replay and
 golden-file testing.
@@ -203,8 +203,9 @@ def transition_plan(
     leaf_indices: list[int] | None = None,
 ) -> MotionPlan:
     """Plan the move from one displayed variation to the next, honouring the
-    profile's reset policy (wipe to 0 first, or move directly)."""
-    if not profile.reset_before_next_variation:
+    profile's reset policy: a reset profile wipes every leaf to 0 first,
+    unless every leaf is already furled; other profiles move directly."""
+    if not (profile.reset_before_next_variation and any(current)):
         return plan_for_profile(nxt, current, profile, leaf_indices)
     zeros = [0] * len(current)
     wipe = plan_for_profile(zeros, current, profile, leaf_indices)

@@ -2,10 +2,10 @@
 
 Each payload received on the feed is one forecast document (the same JSON
 schema the CLI accepts).  The service segments it, encodes every variation,
-plans the motion from the device's current state (honouring the profile's
-reset policy), and executes the plans on the simulated hardware, appending
-to the device event log.  Malformed payloads are rejected and the service
-stays up.
+plans the motion from the device's current state and executes the plans on
+the simulated hardware, appending to the device event log.  The profile's
+reset rule between two variations lives in :mod:`.motion`.  Malformed
+payloads are rejected and the service stays up.
 
 The feed tails a newline-delimited document file, one forecast per line.
 It stays decoupled from the simulator: payloads are polled one at a time
@@ -121,9 +121,9 @@ def plan_variation(
 
     With ``current`` None, only the variation's own leaves move, starting
     furled.  Given the ten current leaf positions, all ten leaves move from
-    there, through :func:`transition_plan` when any leaf is raised.  Raises
-    :class:`.encoder.EncodingDomainError` when an hour past 17:59 encodes a
-    nonzero position.
+    there through :func:`.motion.transition_plan`, which owns the profile's
+    reset rule.  Raises :class:`.encoder.EncodingDomainError` when an hour
+    past 17:59 encodes a nonzero position.
     """
     positions = encode_series(series, variation, mode)
     if current is None:
@@ -134,10 +134,7 @@ def plan_variation(
         )
         targets = [position for _, position in shown]
         return plan_for_profile(targets, [0] * len(targets), profile, [leaf for leaf, _ in shown])
-    targets = device_targets(series, positions)
-    if any(current):
-        return transition_plan(current, targets, profile)
-    return plan_for_profile(targets, current, profile)
+    return transition_plan(current, device_targets(series, positions), profile)
 
 
 @dataclass

@@ -321,6 +321,8 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("argv, profile, code", [
         pytest.param(["render", "--canvas", "0x0"], None, 2, id="canvas-0x0"),
+        pytest.param(["render", "--canvas", "10by20"], None, 2, id="canvas-10by20"),
+        pytest.param(["render", "--dims", "1,2"], None, 2, id="dims-two-parts"),
         pytest.param(["render", "--dims", "nan,1,2"], None, 2, id="dims-nan"),
         pytest.param(["render", "--dims", "10,-5,-0.8"], None, 2, id="dims-negative-extents"),
         pytest.param(["render", "--dims", "10,-50,-20"], None, 2, id="dims-negative-scale"),

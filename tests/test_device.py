@@ -245,6 +245,10 @@ class TestLeafPositions:
         with pytest.raises(ValueError, match=message):
             initial_state(BENCH, [0, 0, 0, bad] + [0] * 6)
 
+    def test_preloaded_positions_must_number_ten(self):
+        with pytest.raises(ValueError, match="^expected 10 leaf positions, got 9$"):
+            initial_state(BENCH, [0] * 9)
+
     def test_midpoint_rounds_half_up(self):
         ctrl = initial_state(BENCH)
         board = ctrl.boards[0]

@@ -18,7 +18,7 @@ from plantchart.encoder import (
     position_rate_interval,
 )
 from plantchart.fixtures import interpolate_series
-from plantchart.series import ForecastSeries, segment_variations
+from plantchart.series import ForecastSeries, Variation, segment_variations
 
 EMITTABLE_RELATIVE = (0, 3, 4, 5, 6, 7, 10)
 
@@ -148,6 +148,12 @@ class TestEncodeSeries:
         other = segment_variations(interpolate_series(9, 13, 17))[0]
         with pytest.raises(ValueError):
             encode_series(series, other)
+
+    def test_a_variation_outside_the_series_is_refused(self):
+        series = ForecastSeries(hours=(8, 9, 10), rates=(0.0, 0.5, 0.0))
+        outside = Variation(start=9, peak=10, end=11, rates=(0.5, 1.0, 0.0))
+        with pytest.raises(ValueError, match=r"^variation 9\.\.11 lies outside the series$"):
+            encode_series(series, outside)
 
     @pytest.mark.parametrize("mode", ["absolute", "six-step", None])
     def test_a_mode_that_is_not_an_encoding_mode_is_refused(self, mode):

@@ -8,6 +8,7 @@ equal but serialize differently (``1``, ``1.0``, ``True``) share no head,
 and an event the reference cannot serialize fails the same way.
 """
 
+import enum
 import math
 
 from hypothesis import example, given, settings, strategies as st
@@ -60,6 +61,10 @@ def outcome(serialize, events):
         return type(exc), str(exc)
 
 
+class Board(enum.IntEnum):
+    ONE = 1
+
+
 COLLIDING = tuple(LogEvent(0.5, None, "relay", (("on", v),)) for v in (1, 1.0, True, 1))
 BOARDS = tuple(LogEvent(0.5, b, "ack", (("leaf", 3),)) for b in (None, 0, 1, 1.0, True, False))
 TIMES = tuple(LogEvent(t, 0, "ack", ()) for t in (-0.0, 0.0, math.inf, math.nan, 2, True, 0.25))
@@ -75,6 +80,7 @@ TIMES = tuple(LogEvent(t, 0, "ack", ()) for t in (-0.0, 0.0, math.inf, math.nan,
 @example((LogEvent(1.0, 0, "ack", (("xs", [1]),)), LogEvent(1.0, 0, "ack", (("xs", [True]),))))
 @example((LogEvent(1.0, 0, "ack", (("b", b"x"),)),))
 @example(((0.5, None, "relay", (("on", True),)), LogEvent(0.5, None, "relay", (("on", True),))))
+@example((LogEvent(0.5, Board.ONE, "ack", (("leaf", 2),)),) * 2)  # marshal refuses the head
 def test_same_bytes_as_the_reference(events):
     named = [LogEvent(*event) for event in events]
     assert outcome(events_to_ndjson, events) == outcome(reference_events_to_ndjson, named)

@@ -16,9 +16,11 @@ from plantchart.motion import (
     STEPS_MAX,
     STEPS_MIN,
     DeviceProfile,
+    FrameTimeline,
     Modality,
     MotionCommand,
     MotionPlan,
+    TimelineFrame,
     lowfi_series_timeline,
     lowfi_timeline,
     plan_for_profile,
@@ -65,6 +67,14 @@ class TestPlanPhysical:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             plan_for_profile([1, 2], [0], PLANTFORM)
+
+    def test_more_leaves_than_the_device_has_are_refused(self):
+        with pytest.raises(ValueError, match="^at most 10 leaves, got 11$"):
+            plan_for_profile([1] * 11, [0] * 11, PLANTFORM)
+
+    def test_leaf_indices_must_match_the_targets_in_length(self):
+        with pytest.raises(ValueError, match="^leaf_indices must match the target vector length$"):
+            plan_for_profile([1, 2], [0, 0], PLANTFORM, [0])
 
     @pytest.mark.parametrize("targets, current, leaves, message", [
         ([11], [0], None, r"^position 11 out of range \[0, 10\]$"),
@@ -176,6 +186,17 @@ class TestTransitionPlan:
             commands = [c for c in plan.commands if c.leaf == leaf]
             assert [c.target for c in commands].count(0) == 1
 
+    def test_a_furled_screen_moves_directly(self):
+        nxt = [0, 0, 4, 4, 10, 4, 0, 0, 0, 0]
+        plan = transition_plan([0] * 10, nxt, PLANTSCREEN)
+        assert plan == plan_for_profile(nxt, [0] * 10, PLANTSCREEN)
+        assert plan.total_duration == 20.0
+
+    @given(position_vectors(), st.sampled_from([PLANTFORM, CAIRNFORM, PLANTSCREEN]))
+    def test_from_furled_every_profile_plans_as_plan_for_profile(self, nxt, profile):
+        zeros = [0] * len(nxt)
+        assert transition_plan(zeros, nxt, profile) == plan_for_profile(nxt, zeros, profile)
+
 
 class TestLowfiTimeline:
     def test_100_points_take_five_frames_over_1_6_seconds(self):
@@ -222,6 +243,11 @@ class TestLowfiTimeline:
     def test_lowfi_timeline_refuses_before_making_a_frame(self, args, kwargs, message):
         with pytest.raises(ValueError, match=message):
             lowfi_timeline(*args, **kwargs)
+
+    def test_frame_timestamps_must_increase(self):
+        frames = (TimelineFrame(0.32, (20.0,)), TimelineFrame(0.32, (40.0,)))
+        with pytest.raises(ValueError, match="^frame timestamps must be strictly increasing$"):
+            FrameTimeline(frames, 0.32)
 
     def test_multi_channel_refuses_a_negative_or_infinite_delta(self):
         with pytest.raises(ValueError, match="^extension deltas must be non-negative$"):
@@ -277,6 +303,10 @@ class TestPlanSerialization:
         first = MotionCommand(3, 0, 2, 0.0, 0.5)
         with pytest.raises(ValueError, match=f"^command 1 \\(leaf 0\\): {message}$"):
             MotionPlan("plantform", (first, command), 1.0)
+
+    def test_plan_validation_rejects_a_total_duration_past_the_last_command(self):
+        with pytest.raises(ValueError, match="^total_duration 2.0 != last command end 1.0$"):
+            MotionPlan("plantform", (MotionCommand(0, 0, 5, 0.0, 1.0),), 2.0)
 
     @pytest.mark.parametrize("total", [float("nan"), float("inf"), -float("inf")])
     def test_plan_validation_rejects_a_total_duration_that_is_not_finite(self, total):

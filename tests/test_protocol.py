@@ -90,6 +90,16 @@ def test_oversized_payload_rejected_at_construction():
         Frame(0, Opcode.ACK, bytes(256))
 
 
+def test_a_board_id_past_one_byte_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="^board_id 256 does not fit one byte$"):
+        Frame(256, Opcode.ACK)
+
+
+def test_an_empty_buffer_is_truncated():
+    with pytest.raises(TruncatedFrameError, match="^empty buffer$"):
+        decode_frame(b"")
+
+
 def test_checksum_is_xor_of_preceding_bytes():
     frame = Frame(3, Opcode.SET_TARGET, b"\x10\x20")
     wire = encode_frame(frame)

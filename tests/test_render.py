@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from plantchart.motion import (
     PLANTSCREEN,
     MotionCommand,
     MotionPlan,
+    lowfi_series_timeline,
     lowfi_timeline,
     plan_for_profile,
     transition_plan,
@@ -142,6 +144,13 @@ class TestLayout:
         assert parse_style("bar,one-sided,straight").animation is Animation.GROWTH
         with pytest.raises(UnsupportedStyleError):
             parse_style("vine,one-sided,straight")
+
+    def test_parse_style_takes_a_named_animation_and_refuses_two_parts(self):
+        style = parse_style("leaf,two-sided,curvy,growth")
+        assert style == replace(LEAF_TWO_CURVY, animation=Animation.GROWTH)
+        message = "style must be 'decoration,anchoring,trunk[,animation]', got 'leaf,two-sided'"
+        with pytest.raises(UnsupportedStyleError, match=f"^{re.escape(message)}$"):
+            parse_style("leaf,two-sided")
 
     def test_mirror_symmetry_within_tolerance(self):
         for style in GALLERY_STYLES:
@@ -325,6 +334,11 @@ class TestRenderFrames:
             source = lowfi_timeline(100.0)
         with pytest.raises(ValueError, match=message):
             iter_frames(source, HOURS10, LEAF_TWO_CURVY, **kwargs)
+
+    def test_a_timeline_whose_channels_are_not_the_hours_is_refused(self):
+        timeline = lowfi_series_timeline([10.0, 20.0, 30.0])
+        with pytest.raises(ValueError, match="^timeline carries 3 channels for 5 hours$"):
+            iter_frames(timeline, HOURS10[:5], BAR_ONE_STRAIGHT)
 
     def test_cairnscreen_final_frame_is_the_static_chart(self):
         style = parse_style("ring,two-sided,straight")

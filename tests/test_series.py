@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 
 HUGE = "9" * 1_000_000
 
-from strategies import UNPARSABLE_DOCUMENTS, grid_series
+from strategies import MISSHAPEN_DOCUMENTS, UNPARSABLE_DOCUMENTS, grid_series
 from oracles import brute_force_variations
 from plantchart._checks import QUOTE_LIMIT
 from plantchart.fixtures import interpolate_series
@@ -195,6 +196,19 @@ class TestVariationInvariants:
         with pytest.raises(ValueError):
             Variation(start=8, peak=9, end=11, rates=(0.0, 1.0, 0.2, 0.4))
 
+    def test_rejects_rates_that_do_not_span_the_hours(self):
+        with pytest.raises(ValueError, match=r"^rates length 2 does not span hours 8\.\.10$"):
+            Variation(start=8, peak=9, end=10, rates=(0.0, 1.0))
+
+    def test_rejects_a_peak_hour_without_the_maximum_rate(self):
+        # A NaN at the peak passes both slope checks, but it is not the maximum.
+        with pytest.raises(ValueError, match="^peak hour must carry the maximum rate$"):
+            Variation(start=8, peak=9, end=10, rates=(0.0, math.nan, 0.5))
+
+    def test_series_hours_and_rates_must_match_in_length(self):
+        with pytest.raises(ValueError, match="^hours and rates differ in length: 3 != 2$"):
+            ForecastSeries(hours=(8, 9, 10), rates=(0.1, 0.2))
+
 
 class TestLoadSeries:
     def test_csv_roundtrip(self):
@@ -290,6 +304,7 @@ class TestLoadSeries:
         ('{"samples": [{"hour": 99, "rate": 0.5}]}', "samples[0].hour: hour 99 out of range [8, 18]"),
         ('{"date": 20240603, "samples": []}', "date: expected a string, got 20240603"),
         ("h,r\n8,0.1", "header: expected 'hour,rate', got 'h,r'"),
+        *(pytest.param(*case, id=name) for name, case in MISSHAPEN_DOCUMENTS.items()),
     ])
     def test_a_short_bad_value_is_quoted_whole(self, document, message):
         with pytest.raises(ForecastDocumentError) as err:

@@ -26,7 +26,7 @@ from plantchart.serve import (
     run_service,
 )
 from plantchart.series import load_series, segment_variations
-from strategies import UNPARSABLE_DOCUMENTS
+from strategies import MISSHAPEN_DOCUMENTS, UNPARSABLE_DOCUMENTS
 
 
 def payload_for(anchors=(8, 12, 17)):
@@ -136,6 +136,14 @@ class TestForecastService:
         (rejection,) = service.rejected
         assert rejection.startswith("document: ") and reason in rejection
         assert (service.accepted, service.displayed) == (1, 1)
+
+    def test_a_misshapen_payload_is_rejected_with_its_message(self):
+        service = ForecastService(PLANTFORM, tick=0.05)
+        for document, message in MISSHAPEN_DOCUMENTS.values():
+            assert service.handle_payload(document) is False
+            assert service.rejected[-1] == message
+        assert service.rejections == len(MISSHAPEN_DOCUMENTS)
+        assert service.handle_payload(payload_for())
 
     def test_back_to_back_payloads_transition_from_previous_state(self):
         service = ForecastService(PLANTFORM, tick=0.05)
@@ -316,6 +324,25 @@ class TestFeeds:
         assert len(feed.timeouts) == 8
         assert feed.timeouts[0] == 0
         assert all(0 < t <= 1.0 for t in feed.timeouts[1:]), feed.timeouts
+
+    def test_run_service_returns_when_the_feed_closes(self):
+        class ClosingFeed:
+            def __init__(self):
+                self.payloads = [payload_for().encode()]
+                self.closed = False
+
+            def poll(self, timeout=0.0):
+                if self.closed:
+                    pytest.fail("the feed was polled again after it closed")
+                if self.payloads:
+                    return self.payloads.pop()
+                self.closed = True
+                raise FeedClosed
+
+        feed = ClosingFeed()
+        service = ForecastService(PLANTFORM, tick=0.1)
+        assert run_service(service, feed) == 1
+        assert feed.closed
 
     @pytest.mark.parametrize("poll_timeout", [float("nan"), float("inf"), -1.0, True])
     def test_a_poll_timeout_that_is_not_a_finite_number_from_0_is_refused(self, poll_timeout):

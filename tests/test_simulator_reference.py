@@ -476,6 +476,13 @@ def test_a_snapshot_keeps_the_log_it_held_when_taken(profile, before, after, tar
     assert hash(log) == hash(held)
     assert log + later == held + later and type(log + later) is tuple
     assert later + log == later + held and type(later + log) is tuple
+    assert (log == list(held)) is False and (list(held) == log) is False
+    for other in (list(held), 1):
+        with pytest.raises(TypeError):
+            log + other
+        with pytest.raises(TypeError):
+            other + log
+    assert repr(log) == repr(held)
     assert snapshot == replace(snapshot, event_log=held)
     assert hash(snapshot) == hash(replace(snapshot, event_log=held))
 
