@@ -2,7 +2,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import plantchart.motion as motion
 
@@ -68,20 +68,14 @@ class TestPlanPhysical:
         with pytest.raises(ValueError):
             plan_for_profile([1, 2], [0], PLANTFORM)
 
-    def test_more_leaves_than_the_device_has_are_refused(self):
-        with pytest.raises(ValueError, match="^at most 10 leaves, got 11$"):
-            plan_for_profile([1] * 11, [0] * 11, PLANTFORM)
-
-    def test_leaf_indices_must_match_the_targets_in_length(self):
-        with pytest.raises(ValueError, match="^leaf_indices must match the target vector length$"):
-            plan_for_profile([1, 2], [0, 0], PLANTFORM, [0])
-
     @pytest.mark.parametrize("targets, current, leaves, message", [
         ([11], [0], None, r"^position 11 out of range \[0, 10\]$"),
         ([1], [True], None, r"^position True out of range \[0, 10\]$"),
         ([True], [True], None, r"^position True out of range \[0, 10\]$"),
         ([5], [0], [10], r"^leaf index 10 out of range \[0, 9\]$"),
         ([5], [0], [True], r"^leaf index True out of range \[0, 9\]$"),
+        ([1] * 11, [0] * 11, None, "^at most 10 leaves, got 11$"),
+        ([1, 2], [0, 0], [0], "^leaf_indices must match the target vector length$"),
     ])
     def test_a_position_or_leaf_index_out_of_range_is_refused(self, targets, current, leaves,
                                                               message):
@@ -186,14 +180,9 @@ class TestTransitionPlan:
             commands = [c for c in plan.commands if c.leaf == leaf]
             assert [c.target for c in commands].count(0) == 1
 
-    def test_a_furled_screen_moves_directly(self):
-        nxt = [0, 0, 4, 4, 10, 4, 0, 0, 0, 0]
-        plan = transition_plan([0] * 10, nxt, PLANTSCREEN)
-        assert plan == plan_for_profile(nxt, [0] * 10, PLANTSCREEN)
-        assert plan.total_duration == 20.0
-
-    @given(position_vectors(), st.sampled_from([PLANTFORM, CAIRNFORM, PLANTSCREEN]))
-    def test_from_furled_every_profile_plans_as_plan_for_profile(self, nxt, profile):
+    @given(position_vectors(), st.sampled_from(list(motion.BUILTIN_PROFILES.values())))
+    @example([0, 0, 4, 4, 10, 4, 0, 0, 0, 0], PLANTSCREEN)
+    def test_a_furled_device_moves_directly(self, nxt, profile):
         zeros = [0] * len(nxt)
         assert transition_plan(zeros, nxt, profile) == plan_for_profile(nxt, zeros, profile)
 

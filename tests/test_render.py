@@ -144,8 +144,6 @@ class TestLayout:
         assert parse_style("bar,one-sided,straight").animation is Animation.GROWTH
         with pytest.raises(UnsupportedStyleError):
             parse_style("vine,one-sided,straight")
-
-    def test_parse_style_takes_a_named_animation_and_refuses_two_parts(self):
         style = parse_style("leaf,two-sided,curvy,growth")
         assert style == replace(LEAF_TWO_CURVY, animation=Animation.GROWTH)
         message = "style must be 'decoration,anchoring,trunk[,animation]', got 'leaf,two-sided'"
