@@ -52,7 +52,7 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # The simulator's stretches between events.
+    # The simulator loop: stretches between events, and unpowered leaves.
     Mutant("stretch-one-tick-too-long", DEVICE,
            "(min(guard, _STRETCH_STEPS) - 1 - rest) / budget_per_tick))",
            "(min(guard, _STRETCH_STEPS) - 1 - rest) / budget_per_tick)) + 1"),
@@ -61,6 +61,7 @@ MUTANTS = (
            "guard = remaining"),
     Mutant("stretch-steps-truncated", DEVICE,
            "remaining -= round(start_rest", "remaining -= int(start_rest"),
+    Mutant("unpowered-leaf-moves", DEVICE, "if not powered[leaf >> 1]:", "if False:"),
     # Dispatch, checks and the event log.
     Mutant("dispatch-without-epsilon", DEVICE,
            "return new_clock - _EPS", "return new_clock"),
@@ -80,7 +81,7 @@ MUTANTS = (
            "    return isinstance(value, (int, float)) and type(value) is not bool",
            "def is_number(value) -> bool:\n"
            "    return isinstance(value, (int, float))"),
-    # The reset rule, the document readers and the feed loop.
+    # The reset rule, the hour-to-leaf rule, the document readers and the feed loop.
     Mutant("transition-wipes-a-furled-device", MOTION,
            "if not (profile.reset_before_next_variation and any(current)):",
            "if not profile.reset_before_next_variation:"),
@@ -89,7 +90,8 @@ MUTANTS = (
            "if not isinstance(sample, dict):", "if False:"),
     Mutant("service-polls-a-closed-feed", SERVE,
            "except FeedClosed:\n            break", "except FeedClosed:\n            continue"),
-    # Layout and SVG tables and caches.
+    Mutant("hour-past-17-not-refused", SERVE, "elif position != 0:", "elif False:"),
+    # Layout and SVG: tables, caches and the checks of a frameless source.
     Mutant("trunk-memo-untyped", RENDER,
            "lru_cache(maxsize=TRUNK_MEMO_SIZE, typed=True)",
            "lru_cache(maxsize=TRUNK_MEMO_SIZE, typed=False)"),
@@ -102,6 +104,9 @@ MUTANTS = (
     Mutant("svg-prefix-adds-a-lineto-to-nothing", SVG,
            "_text(rest, x0, y0, scale) if rest else prev_text",
            "_text(rest, x0, y0, scale)"),
+    Mutant("zero-frames-skip-checks", SVG,
+           "first = extent_rows[0] if extent_rows else [0.0] * len(hours)",
+           "if not extent_rows:\n        return iter(())\n    first = extent_rows[0]"),
     Mutant("trunk-text-keyed-by-projection-alone", SVG,
            "_trunk_d = functools.lru_cache(maxsize=TRUNK_CACHE_SIZE)(_path_d)",
            "_trunk_d = functools.lru_cache(maxsize=TRUNK_CACHE_SIZE)("

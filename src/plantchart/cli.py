@@ -16,13 +16,7 @@ import sys
 from pathlib import Path
 
 from . import _checks, device, fixtures, serve
-from .encoder import (
-    EncodingDomainError,
-    EncodingMode,
-    encode_absolute,
-    encode_series,
-    encode_six_step,
-)
+from .encoder import EncodingDomainError, EncodingMode, encode_series
 from .motion import BUILTIN_PROFILES, DeviceProfile, plan_to_json, profile_from_json
 from .render import (
     DEVICE_DIMENSIONS,
@@ -210,11 +204,14 @@ def _pick_variation(variations: list[Variation], index: int) -> Variation:
 
 
 def _emit(text: str, out: Path | None) -> None:
+    """Write ``text`` ending in one newline; empty text is written empty."""
+    if text and not text.endswith("\n"):
+        text += "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        out.write_text(text, encoding="utf-8")
 
 
 def cmd_segment(args) -> int:
@@ -250,12 +247,12 @@ def cmd_encode(args) -> int:
     variations = segment_variations(series)
     if not variations and mode is not EncodingMode.PEAK_RELATIVE:
         # A flat series still has absolute encodings; there is just no
-        # variation to normalize against.
-        encode = encode_absolute if mode is EncodingMode.ABSOLUTE_LINEAR else encode_six_step
-        positions = [encode(r) for r in series.rates]
+        # variation to normalize against, so the whole series is one.
+        hours = series.hours
+        variation = Variation(hours[0], hours[0], hours[-1], series.rates)
     else:
         variation = _pick_variation(variations, args.variation_index)
-        positions = encode_series(series, variation, mode)
+    positions = encode_series(series, variation, mode)
     print(
         json.dumps(
             {"hours": list(series.hours), "positions": positions, "mode": mode.value},

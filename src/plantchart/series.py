@@ -252,8 +252,7 @@ def _load_json(document: str) -> ForecastSeries:
         raise ForecastDocumentError("document", f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise ForecastDocumentError("document", "JSON nested too deeply") from None
-    if not isinstance(payload, dict):
-        raise ForecastDocumentError("document", "expected a JSON object")
+    # The text opens with "{", so what parsed is an object.
     samples = payload.get("samples")
     if not isinstance(samples, list):
         raise ForecastDocumentError("samples", "expected a list of samples")

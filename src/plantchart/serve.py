@@ -87,27 +87,19 @@ class FileFeed:
 
 def device_targets(series: ForecastSeries, positions: list[int]) -> list[int]:
     """Spread per-hour positions over the ten device leaves; leaves with no
-    hour in ``series`` stay at 0."""
+    hour in ``series`` stay at 0.  An hour past :data:`MAX_DEVICE_HOUR`
+    (17:59) has no leaf, so it must encode 0: a nonzero position there
+    raises :class:`.encoder.EncodingDomainError`."""
     targets = [0] * LEAF_COUNT
-    for leaf, position in _device_leaves(zip(series.hours, positions)):
-        targets[leaf] = position
+    for hour, position in zip(series.hours, positions):
+        if hour <= MAX_DEVICE_HOUR:
+            targets[leaf_for_hour(hour)] = position
+        elif position != 0:
+            raise EncodingDomainError(
+                f"hour {hour} carries position {position} but the device "
+                f"has leaves only up to hour {MAX_DEVICE_HOUR}"
+            )
     return targets
-
-
-def _device_leaves(shown) -> list[tuple[int, int]]:
-    """``(leaf, position)`` for each ``(hour, position)`` the device shows.
-    An hour past :data:`MAX_DEVICE_HOUR` has no leaf, so it must encode 0."""
-    leaves = []
-    for hour, position in shown:
-        if hour > MAX_DEVICE_HOUR:
-            if position != 0:
-                raise EncodingDomainError(
-                    f"hour {hour} carries position {position} but the device "
-                    f"has leaves only up to hour {MAX_DEVICE_HOUR}"
-                )
-            continue
-        leaves.append((leaf_for_hour(hour), position))
-    return leaves
 
 
 def plan_variation(
@@ -125,16 +117,12 @@ def plan_variation(
     reset rule.  Raises :class:`.encoder.EncodingDomainError` when an hour
     past 17:59 encodes a nonzero position.
     """
-    positions = encode_series(series, variation, mode)
+    targets = device_targets(series, encode_series(series, variation, mode))
     if current is None:
-        shown = _device_leaves(
-            (hour, position)
-            for hour, position in zip(series.hours, positions)
-            if variation.start <= hour <= variation.end
-        )
-        targets = [position for _, position in shown]
-        return plan_for_profile(targets, [0] * len(targets), profile, [leaf for leaf, _ in shown])
-    return transition_plan(current, device_targets(series, positions), profile)
+        leaves = [leaf_for_hour(hour) for hour in variation.hours if hour <= MAX_DEVICE_HOUR]
+        return plan_for_profile([targets[leaf] for leaf in leaves], [0] * len(leaves),
+                                profile, leaves)
+    return transition_plan(current, targets, profile)
 
 
 @dataclass

@@ -183,9 +183,9 @@ def iter_frames(
         extent_rows = _timeline_extents(source, len(hours), full_extension)
     else:
         extent_rows = _plan_extents(source, hours, fps, initial_positions)
-    if not extent_rows:
-        return iter(())
-    scene = layout_extents(extent_rows[0], hours, style, dims)
+    # With no frames, a furled row still checks the hours and the canvas.
+    first = extent_rows[0] if extent_rows else [0.0] * len(hours)
+    scene = layout_extents(first, hours, style, dims)
     serializer = _serializer(scene, canvas)
     for row in extent_rows[1:]:
         check_extents(row, hours)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import plantchart
-from plantchart import serve
+from plantchart import fixtures, serve
 from plantchart.cli import main
 from plantchart.motion import PLANTFORM
 from plantchart._checks import QUOTE_LIMIT
@@ -232,7 +232,7 @@ class TestSimulate:
         service = serve.ForecastService(PLANTFORM, tick=0.1)
         for line in lines:
             service.handle_payload(line)
-        assert log.read_text(encoding="utf-8") == (service.event_log_ndjson() or "\n")
+        assert log.read_text(encoding="utf-8") == service.event_log_ndjson()
         assert json.loads(out)["rejected"] == len(lines) // 2
 
     def test_nan_poll_timeout_exits_2_instead_of_polling_forever(self, run, tmp_path):
@@ -289,6 +289,13 @@ class TestBadInputs:
                              "--max-idle-polls", "1", "--poll-timeout", "0")
         assert (code, out, polled) == (2, "", [])
         assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+    def test_an_unknown_fixture_exits_2_naming_the_fixtures(self, run):
+        code, out, err = run("plan", "--fixture", "nope")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown fixture 'nope'; available: ")
+        assert err.count("\n") == 1
+        assert all(name in err for name in fixtures.FIXTURES)
 
     def test_a_huge_bad_value_exits_2_with_a_short_line(self, run, tmp_path):
         path = tmp_path / "forecast.json"

@@ -9,9 +9,12 @@ from oracles import glyph_extent_measure
 from plantchart import svg
 from plantchart.motion import (
     CAIRNSCREEN,
+    PLANTFORM,
     PLANTSCREEN,
+    FrameTimeline,
     MotionCommand,
     MotionPlan,
+    TimelineFrame,
     lowfi_series_timeline,
     lowfi_timeline,
     plan_for_profile,
@@ -332,6 +335,31 @@ class TestRenderFrames:
             source = lowfi_timeline(100.0)
         with pytest.raises(ValueError, match=message):
             iter_frames(source, HOURS10, LEAF_TWO_CURVY, **kwargs)
+
+    @pytest.mark.parametrize("source", [
+        plan_for_profile([0] * 3, [0] * 3, PLANTFORM),
+        lowfi_series_timeline([0.0] * 3),
+    ], ids=["plan-with-no-commands", "zero-delta-timeline"])
+    @pytest.mark.parametrize("hours, canvas, message", [
+        ([8, 9], (480, 640), "a chart displays 3..10 hours, got 2"),
+        ([8, 9, 10], (0, 0), "canvas width must be an int >= 1, got 0"),
+    ], ids=["two-hours", "canvas-0x0"])
+    def test_a_source_with_no_frames_is_still_checked(self, source, hours, canvas, message):
+        assert len(render_frames(source, [8, 9, 10], BAR_ONE_STRAIGHT)) == 0
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            iter_frames(source, hours, BAR_ONE_STRAIGHT, canvas=canvas)
+
+    @pytest.mark.parametrize("timeline, full_extension", [
+        pytest.param(FrameTimeline((TimelineFrame(0.32, (0.0,)), TimelineFrame(0.64, (0.0,))),
+                                   0.32), None, id="all-zero-timeline"),
+        pytest.param(lowfi_timeline(100.0), 0.0, id="full-extension-0"),
+        pytest.param(lowfi_timeline(100.0), -1.0, id="full-extension-negative"),
+    ])
+    def test_a_full_extension_at_most_0_reads_as_1(self, timeline, full_extension):
+        def frames(full_extension):
+            return render_frames(timeline, HOURS10, LEAF_TWO_CURVY,
+                                 full_extension=full_extension)
+        assert frames(full_extension) == frames(1.0)
 
     def test_a_timeline_whose_channels_are_not_the_hours_is_refused(self):
         timeline = lowfi_series_timeline([10.0, 20.0, 30.0])

@@ -304,6 +304,9 @@ class TestLoadSeries:
         ('{"samples": [{"hour": 99, "rate": 0.5}]}', "samples[0].hour: hour 99 out of range [8, 18]"),
         ('{"date": 20240603, "samples": []}', "date: expected a string, got 20240603"),
         ("h,r\n8,0.1", "header: expected 'hour,rate', got 'h,r'"),
+        # Text that opens with "{" parses to an object or not at all.
+        pytest.param("{} []", "document: invalid JSON: Extra data: line 1 column 4 (char 3)",
+                     id="json-object-then-a-list"),
         *(pytest.param(*case, id=name) for name, case in MISSHAPEN_DOCUMENTS.items()),
     ])
     def test_a_short_bad_value_is_quoted_whole(self, document, message):

@@ -353,6 +353,13 @@ def test_mid_plan_carries_match_the_reference(carry, step, target):
     assert_ticks_match_reference(hand_built(step, target, carry), 0.01)
 
 
+@pytest.mark.parametrize("step, target", [(3, 9), (40, 2)])
+def test_an_unpowered_leaf_holds_still_on_its_way(step, target):
+    ctrl = hand_built(step, target, 0.25, powered=False)
+    ours = assert_ticks_match_reference(ctrl, 0.01, most=20)
+    assert ours.boards[0].channels[0] == ctrl.boards[0].channels[0]
+
+
 def test_a_subnormal_budget_per_tick_matches_the_reference():
     dt = 1e-8
     ctrl = hand_built(0, 100, 0.0, step_rate=1e-300)
