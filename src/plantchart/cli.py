@@ -204,7 +204,6 @@ def _pick_variation(variations: list[Variation], index: int) -> Variation:
 
 
 def _emit(text: str, out: Path | None) -> None:
-    """Write ``text`` ending in one newline; empty text is written empty."""
     if text and not text.endswith("\n"):
         text += "\n"
     if out is None:

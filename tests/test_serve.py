@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from plantchart import device
-from plantchart.encoder import EncodingDomainError, EncodingMode
+from plantchart.encoder import EncodingMode
 from plantchart.fixtures import get_fixture
 from plantchart.motion import (
     CAIRNSCREEN,
@@ -68,14 +68,6 @@ class TestPlanVariation:
         plan = plan_variation(series, variation, EncodingMode.PEAK_RELATIVE, PLANTSCREEN)
         assert [c.leaf for c in plan.commands] == list(range(2, 10))
         assert all(c.source == 0 for c in plan.commands)
-
-    @pytest.mark.parametrize("current", [None, [0] * 10], ids=["one-variation", "chained"])
-    def test_an_evening_hour_with_a_nonzero_position_is_refused(self, current):
-        series = load_series("hour,rate\n15,0.1\n16,0.2\n17,0.3\n18,0.4")
-        (variation,) = segment_variations(series)
-        with pytest.raises(EncodingDomainError, match="^hour 18 carries position 10 but the "
-                           "device has leaves only up to hour 17$"):
-            plan_variation(series, variation, EncodingMode.PEAK_RELATIVE, PLANTFORM, current)
 
     def test_with_current_all_ten_leaves_are_planned(self):
         series = get_fixture("online1-leaf-one-curvy").series()
