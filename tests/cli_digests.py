@@ -74,7 +74,10 @@ def cases() -> dict[str, dict[str, list[str]]]:
             ]
     day["render"] = ["render", DAY_CSV, "--variation-index", "1", "--out", "chart.svg"]
     day["render frames"] = ["render", DAY_CSV, "--variation-index", "1", "--frames", "frames"]
-    return {"plan": plan, "simulate": simulate, "frames": frames, "day": day}
+    report = {f"segment {name}": ["segment", "--fixture", name] for name in names}
+    report["segment day"] = ["segment", DAY_CSV]
+    report["fixtures"] = ["fixtures"]
+    return {"plan": plan, "simulate": simulate, "frames": frames, "day": day, "report": report}
 
 
 def run_case(argv: list[str]) -> str:

@@ -1,5 +1,6 @@
-"""CLI output bytes pinned by sha256: plan, simulate and render --frames on
-the fixtures, plus a two-variation CSV day at --variation-index 1.
+"""CLI output bytes pinned by sha256: plan, simulate, render --frames and
+segment on the fixtures, the fixtures listing, plus a two-variation CSV day
+at --variation-index 1.
 
 After an intentional output change, regenerate the table with
 ``python scripts/generate_golden.py`` and review the diff.
