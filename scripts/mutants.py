@@ -83,8 +83,12 @@ MUTANTS = (
            "    return isinstance(value, (int, float))"),
     # The reset rule, the hour-to-leaf rule, the document readers and the feed loop.
     Mutant("transition-wipes-a-furled-device", MOTION,
-           "if not (profile.reset_before_next_variation and any(current)):",
-           "if not profile.reset_before_next_variation:"),
+           "if not (profile.modality is Modality.GRAPHICAL and any(current)):",
+           "if profile.modality is not Modality.GRAPHICAL:"),
+    Mutant("reset-ignores-the-modality", MOTION,
+           "if not (profile.modality is Modality.GRAPHICAL and any(current)):",
+           "if not any(current):"),
+    Mutant("unknown-profile-field-accepted", MOTION, "if name not in known:", "if False:"),
     Mutant("csv-row-width-unchecked", SERIES, "if len(row) != 2:", "if len(row) > 2:"),
     Mutant("json-sample-object-unchecked", SERIES,
            "if not isinstance(sample, dict):", "if False:"),

@@ -38,10 +38,6 @@ def _refuse(name: str, rule: str, value):
     raise ValueError(f"{name} must be {rule}, got {quote(value)}")
 
 
-def flag(name: str, value) -> bool:
-    return value if type(value) is bool else _refuse(name, "true or false", value)
-
-
 def finite(name: str, value):
     return value if is_finite(value) else _refuse(name, "a finite number", value)
 

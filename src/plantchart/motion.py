@@ -7,9 +7,9 @@ travelled distance: a leaf covering ``d`` of its 10 positions takes
 ``d/10 * steps / step_rate`` seconds, and an unchanged leaf is skipped.
 Graphical devices animate every hour for ``per_rate_frame_time`` seconds.
 
-Profiles also fix the reset policy used between two displayed variations:
-screen devices wipe everything back to position 0 first unless every leaf
-is there already, shape-changing devices move directly to the next targets.
+The modality also fixes the reset rule between two displayed variations:
+a graphical (screen) device wipes every leaf back to 0 first unless all are
+there already; a physical (shape-changing) device moves directly.
 
 Plans are immutable values; they serialize to JSON for replay and
 golden-file testing.
@@ -21,7 +21,7 @@ import enum
 import json
 import math
 import random
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from . import _checks
 from .encoder import POSITION_MAX, POSITION_MIN, LeafPosition
@@ -53,14 +53,12 @@ class DeviceProfile:
     steps_full_range: tuple[int, ...] = (STEPS_DEFAULT,) * LEAF_COUNT
     step_rate: float = 120.0
     per_rate_frame_time: float = 2.0
-    reset_before_next_variation: bool = False
 
     def __post_init__(self):
         if not (isinstance(self.name, str) and self.name):
             raise ValueError(f"name must be a non-empty string, got {self.name!r}")
         if not isinstance(self.modality, Modality):
             raise ValueError(f"modality must be a Modality, got {self.modality!r}")
-        _checks.flag("reset_before_next_variation", self.reset_before_next_variation)
         try:
             object.__setattr__(self, "steps_full_range", tuple(self.steps_full_range))
         except TypeError:
@@ -94,12 +92,8 @@ def leaf_for_hour(hour: int) -> int:
 # (leaf device) and 12/8 s (ring device) display totals.
 PLANTFORM = DeviceProfile("plantform", Modality.PHYSICAL, step_rate=118.0)
 CAIRNFORM = DeviceProfile("cairnform", Modality.PHYSICAL, step_rate=194.0)
-PLANTSCREEN = DeviceProfile(
-    "plantscreen", Modality.GRAPHICAL, reset_before_next_variation=True
-)
-CAIRNSCREEN = DeviceProfile(
-    "cairnscreen", Modality.GRAPHICAL, reset_before_next_variation=True
-)
+PLANTSCREEN = DeviceProfile("plantscreen", Modality.GRAPHICAL)
+CAIRNSCREEN = DeviceProfile("cairnscreen", Modality.GRAPHICAL)
 
 BUILTIN_PROFILES = {p.name: p for p in (PLANTFORM, CAIRNFORM, PLANTSCREEN, CAIRNSCREEN)}
 
@@ -202,10 +196,10 @@ def transition_plan(
     profile: DeviceProfile,
     leaf_indices: list[int] | None = None,
 ) -> MotionPlan:
-    """Plan the move from one displayed variation to the next, honouring the
-    profile's reset policy: a reset profile wipes every leaf to 0 first,
-    unless every leaf is already furled; other profiles move directly."""
-    if not (profile.reset_before_next_variation and any(current)):
+    """Plan the move from one displayed variation to the next by the reset
+    rule of the profile's modality: a graphical profile first wipes every
+    leaf to 0 unless all are furled; a physical one moves directly."""
+    if not (profile.modality is Modality.GRAPHICAL and any(current)):
         return plan_for_profile(nxt, current, profile, leaf_indices)
     zeros = [0] * len(current)
     wipe = plan_for_profile(zeros, current, profile, leaf_indices)
@@ -337,11 +331,13 @@ def _json_object(text: str) -> dict:
 
 
 def profile_from_json(text: str) -> DeviceProfile:
-    """Parse a custom profile document (the builtin profiles' JSON shape)."""
+    """Parse a custom profile document (the builtin profiles' JSON shape).
+    A field that :class:`DeviceProfile` does not have raises ``ValueError``
+    naming it; an absent ``modality`` is physical."""
     payload = _json_object(text)
-    defaulted = [f.name for f in fields(DeviceProfile) if f.default is not MISSING]
-    return DeviceProfile(
-        name=payload.get("name"),
-        modality=Modality(payload.get("modality", "physical")),
-        **{name: payload[name] for name in defaulted if name in payload},
-    )
+    known = {f.name for f in fields(DeviceProfile)}
+    for name in payload:
+        if name not in known:
+            raise ValueError(f"unknown field {_checks.quote(name)}")
+    modality = Modality(payload.get("modality", "physical"))
+    return DeviceProfile(**{**payload, "name": payload.get("name"), "modality": modality})

@@ -373,7 +373,7 @@ class TestBadInputs:
         ("plan", {"name": ["a"]}, "name must be a non-empty string, got ['a']"),
         ("plan", {"name": ""}, "name must be a non-empty string, got ''"),
         ("serve", {"name": "s", "reset_before_next_variation": "false"},
-         "reset_before_next_variation must be true or false, got 'false'"),
+         "unknown field 'reset_before_next_variation'"),
         pytest.param("plan", '{"name":' * 100_000 + '"d"' + "}" * 100_000,
                      "JSON nested too deeply", id="plan-json-nested-100k"),
     ])

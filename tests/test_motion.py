@@ -8,6 +8,7 @@ import plantchart.motion as motion
 
 from oracles import reference_plan
 from strategies import position_vectors
+from plantchart._checks import quote
 from plantchart.motion import (
     CAIRNFORM,
     LEAF_COUNT,
@@ -180,6 +181,12 @@ class TestTransitionPlan:
             commands = [c for c in plan.commands if c.leaf == leaf]
             assert [c.target for c in commands].count(0) == 1
 
+    def test_a_custom_graphical_profile_wipes_as_plantscreen_does(self):
+        custom = profile_from_json('{"name": "s", "modality": "graphical"}')
+        plan = transition_plan([3] * 10, [5] * 10, custom)
+        assert len(plan.commands) == 20
+        assert plan.commands == transition_plan([3] * 10, [5] * 10, PLANTSCREEN).commands
+
     @given(position_vectors(), st.sampled_from(list(motion.BUILTIN_PROFILES.values())))
     @example([0, 0, 4, 4, 10, 4, 0, 0, 0, 0], PLANTSCREEN)
     def test_a_furled_device_moves_directly(self, nxt, profile):
@@ -348,10 +355,16 @@ class TestProfileFromJson:
             "steps_full_range": steps,
             "step_rate": 99.5,
             "per_rate_frame_time": 1.25,
-            "reset_before_next_variation": True,
         })
         assert profile_from_json(text) == DeviceProfile(
-            "bench", Modality.GRAPHICAL, tuple(steps), 99.5, 1.25, True)
+            "bench", Modality.GRAPHICAL, tuple(steps), 99.5, 1.25)
+
+    @pytest.mark.parametrize("field", ["steprate", "reset_before_next_variation",
+                                       pytest.param("x" * 200, id="x*200")])
+    def test_a_field_the_profile_does_not_have_is_refused_naming_it(self, field):
+        with pytest.raises(ValueError) as info:
+            profile_from_json(json.dumps({"name": "x", field: 5}))
+        assert str(info.value) == f"unknown field {quote(field)}"
 
     @pytest.mark.parametrize("modality", ["physical", None])
     def test_a_modality_that_is_not_a_modality_is_refused(self, modality):
