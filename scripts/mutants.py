@@ -42,6 +42,7 @@ SERVE = "src/plantchart/serve.py"
 RENDER = "src/plantchart/render.py"
 SVG = "src/plantchart/svg.py"
 CHECKS = "src/plantchart/_checks.py"
+CLI = "src/plantchart/cli.py"
 
 
 class Mutant(NamedTuple):
@@ -89,9 +90,12 @@ MUTANTS = (
            "if not (profile.modality is Modality.GRAPHICAL and any(current)):",
            "if not any(current):"),
     Mutant("unknown-profile-field-accepted", MOTION, "if name not in known:", "if False:"),
+    Mutant("bom-not-stripped", SERIES, 'document.decode("utf-8-sig")', 'document.decode("utf-8")'),
+    Mutant("input-and-fixture-both-accepted", CLI, "if args.fixture and args.input:", "if False:"),
     Mutant("csv-row-width-unchecked", SERIES, "if len(row) != 2:", "if len(row) > 2:"),
     Mutant("json-sample-object-unchecked", SERIES,
            "if not isinstance(sample, dict):", "if False:"),
+    Mutant("json-sample-hour-unchecked", SERIES, 'if "hour" not in sample:', "if False:"),
     Mutant("service-polls-a-closed-feed", SERVE,
            "except FeedClosed:\n            break", "except FeedClosed:\n            continue"),
     Mutant("hour-past-17-not-refused", SERVE, "elif position != 0:", "elif False:"),

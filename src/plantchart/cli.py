@@ -10,6 +10,7 @@ line on stderr and no traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -215,27 +216,15 @@ def _emit(text: str, out: Path | None) -> None:
 
 def cmd_segment(args) -> int:
     series = _resolve_series(args)
-    report = []
-    for variation in segment_variations(series):
-        ranges = slope_ranges(variation)
-        advice = storage_advice(variation)
-        report.append(
-            {
-                "start": variation.start,
-                "peak": variation.peak,
-                "end": variation.end,
-                "hours": list(variation.hours),
-                "rates": list(variation.rates),
-                "slopes": {
-                    "ascending": list(ranges.ascending) if ranges.ascending else None,
-                    "descending": list(ranges.descending) if ranges.descending else None,
-                },
-                "storage_advice": {
-                    "recharge": advice.recharge,
-                    "discharge_start": advice.discharge_start,
-                },
-            }
-        )
+    report = [
+        {
+            **dataclasses.asdict(variation),
+            "hours": variation.hours,
+            "slopes": slope_ranges(variation)._asdict(),
+            "storage_advice": storage_advice(variation)._asdict(),
+        }
+        for variation in segment_variations(series)
+    ]
     print(json.dumps({"variations": report}, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -295,13 +284,11 @@ def cmd_render(args) -> int:
         w, h = (int(v) for v in args.canvas.lower().split("x"))
     except ValueError:
         raise CliError(f"invalid canvas {args.canvas!r}, expected WIDTHxHEIGHT") from None
-    if w <= 0 or h <= 0:
-        raise CliError(f"invalid canvas {args.canvas!r}: width and height must be positive")
     canvas = (w, h)
 
     if args.gallery is not None:
-        args.gallery.mkdir(parents=True, exist_ok=True)
         gallery = design_space_gallery(dims, canvas)
+        args.gallery.mkdir(parents=True, exist_ok=True)
         for style_entry, doc in gallery:
             path = args.gallery / f"{style_entry.label()}.svg"
             path.write_text(doc, encoding="utf-8")

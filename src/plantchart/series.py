@@ -223,13 +223,13 @@ def storage_advice(variation: Variation) -> StorageAdvice:
 def load_series(document: str | bytes) -> ForecastSeries:
     """Parse a forecast document, either CSV with a ``hour,rate`` header or a
     JSON object ``{"date": ..., "samples": [{"hour": ..., "rate": ...}]}``.
-    Bytes are decoded as UTF-8.
+    Bytes are decoded as UTF-8, less a leading byte-order mark.
 
     Raises :class:`ForecastDocumentError` naming the offending field.
     """
     if isinstance(document, bytes):
         try:
-            document = document.decode("utf-8")
+            document = document.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ForecastDocumentError("document", f"not UTF-8: {exc}") from None
     stripped = document.lstrip()

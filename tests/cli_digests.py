@@ -4,7 +4,11 @@ Each case runs ``plantchart.cli.main`` in-process inside a fresh working
 directory and digests its exit code, stdout, stderr and every file it
 writes, so a refactor that keeps the digests keeps every output byte.
 ``scripts/generate_golden.py`` writes :data:`TABLE`;
-``tests/test_cli_digests.py`` compares against it.
+``tests/test_cli_digests.py`` compares against it.  Run as a script, with
+``src`` on ``PYTHONPATH``, it compares every case with the table and exits
+1 on a mismatch; it needs no pytest, so it checks the declared Python floor:
+
+    PYTHONPATH=src python3.10 tests/cli_digests.py
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -82,21 +88,26 @@ def cases() -> dict[str, dict[str, list[str]]]:
 
 def run_case(argv: list[str]) -> str:
     """Run one invocation in a fresh directory and digest what it did."""
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        Path(DAY_CSV).write_text(DAY_DOCUMENT, encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(list(argv))
-            except SystemExit as exc:
-                code = exc.code
-        digest = hashlib.sha256(f"exit {code}\n".encode())
-        digest.update(f"stdout {out.getvalue()}\nstderr {err.getvalue()}\n".encode())
-        for path in sorted(Path(".").rglob("*")):
-            if path.is_file() and path.name != DAY_CSV:
-                digest.update(f"file {path.as_posix()}\n".encode())
-                digest.update(path.read_bytes())
-        return digest.hexdigest()
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # not contextlib.chdir, which Python 3.10 lacks
+        try:
+            Path(DAY_CSV).write_text(DAY_DOCUMENT, encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+            digest = hashlib.sha256(f"exit {code}\n".encode())
+            digest.update(f"stdout {out.getvalue()}\nstderr {err.getvalue()}\n".encode())
+            for path in sorted(Path(".").rglob("*")):
+                if path.is_file() and path.name != DAY_CSV:
+                    digest.update(f"file {path.as_posix()}\n".encode())
+                    digest.update(path.read_bytes())
+            return digest.hexdigest()
+        finally:
+            os.chdir(home)
 
 
 def digest_group(group: dict[str, list[str]]) -> dict[str, str]:
@@ -107,3 +118,22 @@ def write_table() -> Path:
     table = {name: digest_group(group) for name, group in cases().items()}
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return TABLE
+
+
+def check_table() -> int:
+    """Run every case, print each one whose digest differs from the table,
+    and return 1 if any did, else 0."""
+    pinned = json.loads(TABLE.read_text(encoding="utf-8"))
+    total = mismatched = 0
+    for name, group in cases().items():
+        for case, argv in group.items():
+            total += 1
+            if run_case(argv) != pinned.get(name, {}).get(case):
+                mismatched += 1
+                print(f"mismatch: {name}: {case}")
+    print(f"{total - mismatched} of {total} digests match {TABLE.name}")
+    return 1 if mismatched else 0
+
+
+if __name__ == "__main__":
+    sys.exit(check_table())

@@ -37,11 +37,12 @@ UNPARSABLE_DOCUMENTS = {
 }
 
 # Documents that parse but have the wrong shape, each with its whole
-# rejection message.  Unchecked, each would raise a ``TypeError`` or an
-# ``IndexError``, which a service does not catch.
+# rejection message.  Unchecked, each would raise a ``TypeError``, a
+# ``KeyError`` or an ``IndexError``, which a service does not catch.
 MISSHAPEN_DOCUMENTS = {
     "json-samples-not-a-list": ('{"samples": 5}', "samples: expected a list of samples"),
     "json-sample-not-an-object": ('{"samples": [5]}', "samples[0]: expected an object"),
+    "json-sample-without-hour": ('{"samples": [{"rate": 0.5}]}', "samples[0].hour: missing field"),
     "csv-row-of-1": ("hour,rate\n8\n", "samples[0]: expected 2 columns, got 1"),
     "csv-row-of-3": ("hour,rate\n8,0.1,0.2\n", "samples[0]: expected 2 columns, got 3"),
     "csv-separators-only": (",\n,,\n", "document: empty forecast document"),

@@ -327,7 +327,10 @@ class TestBadInputs:
         assert (summary["accepted"], summary["rejected"]) == (2, 3)
 
     @pytest.mark.parametrize("argv, profile, code", [
+        pytest.param(["segment", "forecast.csv"], None, 2, id="input-and-fixture"),
         pytest.param(["render", "--canvas", "0x0"], None, 2, id="canvas-0x0"),
+        pytest.param(["render", "--gallery", "FRAMES", "--canvas", "0x640"], None, 2,
+                     id="gallery-canvas-0x640"),
         pytest.param(["render", "--canvas", "10by20"], None, 2, id="canvas-10by20"),
         pytest.param(["render", "--dims", "1,2"], None, 2, id="dims-two-parts"),
         pytest.param(["render", "--dims", "nan,1,2"], None, 2, id="dims-nan"),
@@ -367,6 +370,7 @@ class TestBadInputs:
         assert got == code
         assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "frames").exists()
 
     @pytest.mark.parametrize("command, profile, message", [
         ("plan", {"step_rate": 100}, "name must be a non-empty string, got None"),

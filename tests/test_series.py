@@ -1,3 +1,4 @@
+import codecs
 import math
 import random
 
@@ -16,10 +17,12 @@ from plantchart.series import (
     Variation,
     load_series,
     peak_hour,
+    read_series,
     segment_variations,
     slope_ranges,
     storage_advice,
 )
+from plantchart.serve import FileFeed
 
 
 def series_of(rates, start=8):
@@ -271,6 +274,22 @@ class TestLoadSeries:
     def test_csv_lines_may_end_in_any_newline(self, newline):
         doc = newline.join(["hour,rate", "8,0.1", "9,0.6", "10,0.2"]).encode()
         assert load_series(doc).rates == (0.1, 0.6, 0.2)
+
+    @pytest.mark.parametrize("text", [
+        "hour,rate\n8,0.1\n9,0.6\n10,0.2\n",
+        '{"samples": [{"hour": 8, "rate": 0.1}, {"hour": 9, "rate": 0.6}, '
+        '{"hour": 10, "rate": 0.2}]}',
+    ], ids=["csv", "json"])
+    def test_a_byte_order_mark_is_not_part_of_the_document(self, tmp_path, text):
+        """Spreadsheets export "CSV UTF-8" with a leading byte-order mark."""
+        marked = codecs.BOM_UTF8 + text.encode()
+        path = tmp_path / "forecast"
+        path.write_bytes(marked)
+        loaded = [load_series(marked), read_series(path)]
+        if "\n" not in text:  # a feed carries one document per line
+            path.write_bytes(marked + b"\n")
+            loaded.append(load_series(FileFeed(path).poll()))
+        assert loaded == [load_series(text)] * len(loaded)
 
     @pytest.mark.parametrize("document, path", [
         pytest.param(f'{{"samples": [{{"hour": 8, "rate": "{HUGE}"}}]}}', "samples[0].rate",
