@@ -179,7 +179,7 @@ def _resolve_profile(name: str) -> DeviceProfile:
             except ValueError as exc:  # json.JSONDecodeError is one
                 raise CliError(f"invalid profile {path}: {exc}") from None
     raise CliError(
-        f"unknown profile {name!r}; built-ins: {', '.join(sorted(BUILTIN_PROFILES))}"
+        f"unknown profile {_checks.quote(name)}; built-ins: {', '.join(sorted(BUILTIN_PROFILES))}"
     )
 
 
@@ -189,12 +189,22 @@ def _resolve_dims(spec: str) -> ChartDimensions:
     parts = spec.split(",")
     if len(parts) != 3:
         raise CliError(
-            f"unknown dims {spec!r}; device names: {', '.join(sorted(DEVICE_DIMENSIONS))}"
+            f"unknown dims {_checks.quote(spec)}; "
+            f"device names: {', '.join(sorted(DEVICE_DIMENSIONS))}"
         )
     try:
-        return ChartDimensions(*(float(p) for p in parts))
+        return ChartDimensions(*map(_float, parts))
     except ValueError as exc:
-        raise CliError(f"invalid dims {spec!r}: {exc}") from None
+        raise CliError(f"invalid dims {_checks.quote(spec)}: {exc}") from None
+
+
+def _float(text: str) -> float:
+    """``float(text)``, refused with the message of ``float`` but quoting
+    at most :data:`._checks.QUOTE_LIMIT` characters of ``text``."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"could not convert string to float: {_checks.quote(text)}") from None
 
 
 def _pick_variation(variations: list[Variation], index: int) -> Variation:
@@ -283,7 +293,8 @@ def cmd_render(args) -> int:
     try:
         w, h = (int(v) for v in args.canvas.lower().split("x"))
     except ValueError:
-        raise CliError(f"invalid canvas {args.canvas!r}, expected WIDTHxHEIGHT") from None
+        raise CliError(
+            f"invalid canvas {_checks.quote(args.canvas)}, expected WIDTHxHEIGHT") from None
     canvas = (w, h)
 
     if args.gallery is not None:

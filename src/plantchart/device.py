@@ -10,28 +10,21 @@ the coordinator and the LEDs stay powered.  Because the screws retain
 cable tension, unpowered channels hold their position exactly.
 
 The simulator is a single state machine advanced by explicit ticks.  Its
-state lives in one private mutable core, :class:`_Core`: per-leaf lists of
-step counters, targets, full ranges, rotations and sub-step carries, the
-board power flags, the relay, the clock, the step rate, the pending
-commands and the event log.  A long-lived owner, such as
-:class:`.serve.ForecastService`, keeps one core from plan to plan and builds
-a frozen :class:`ControllerState` snapshot only when one is read.
+physical state lives in one private mutable core, :class:`_Core`: per-leaf
+lists of step counters, targets, full ranges, rotations and sub-step
+carries, the board power flags, the relay, the clock, the step rate and
+the pending commands.  The core keeps no log: an advance returns the
+``(t, board, kind, detail)`` tuples it logged.  A long-lived owner, such as
+:class:`.serve.ForecastService`, keeps one core and its own log and builds a
+frozen :class:`ControllerState` snapshot only when one is read.
 :func:`run_plan`, :func:`tick` and :func:`submit_plan` keep the frozen API:
 each builds a core from a snapshot, acts on it and returns the core's
-snapshot, so readers are free to keep older snapshots.  :func:`tick`
-advances one tick and :func:`run_plan` all the ticks of a plan; both share
-one advance loop, so a plan stepped with :func:`tick` ends in the same
-state and log bytes as :func:`run_plan`.  The loop works on locals and
-writes them back to the core only when it completes, so a run that raises
-leaves the core as it was.
-
-The event log is an append-only list of plain ``(t, board, kind, detail)``
-tuples: the core only ever appends to it, and never changes or removes an
-entry.  A snapshot does not copy it.  Its ``event_log`` is a read-only view
-of the list's first ``len(events)`` entries, which later appends leave as
-they were, so a snapshot read costs the same however long the log has
-grown.  The view yields :class:`LogEvent` tuples and behaves as the tuple
-of them; a core built from a snapshot copies the viewed entries.
+snapshot, whose ``event_log`` is the tuple of that call's own events; the
+calls' tuples joined are the whole log.  :func:`tick` and :func:`run_plan`
+share one advance loop, so a plan stepped with :func:`tick` ends in the
+same state and log bytes as :func:`run_plan`.  The loop works on locals
+and writes them back to the core only when it completes, so a run that
+raises leaves the core as it was and logs nothing.
 
 The loop runs the ticks in windows that end where the next command
 dispatches.  Within a window the leaves do not interact, so each moving
@@ -132,12 +125,10 @@ _LED = BoardState(LED_BOARD, (), powered=True)
 
 
 class LogEvent(NamedTuple):
-    """One entry of the event log.  The simulator appends plain 4-tuples
-    of these fields, in this order, to its append-only log.  A snapshot's
-    ``event_log`` is a read-only view that shares a prefix of that log, so
-    reading it costs the same at any length of the log, and it yields the
-    entries as ``LogEvent`` values.  Being a tuple, a ``LogEvent`` compares
-    equal to a plain tuple of the same fields."""
+    """One entry of the event log.  The advance loop logs plain 4-tuples
+    of these fields, in this order; a snapshot's ``event_log`` yields them
+    as ``LogEvent`` values.  Being a tuple, a ``LogEvent`` compares equal
+    to a plain tuple of the same fields."""
 
     t: float
     board: int | None
@@ -146,12 +137,12 @@ class LogEvent(NamedTuple):
 
 
 class _EventLog(Sequence):
-    """A read-only view of the first ``length`` entries of a core's event
-    list.  The core only appends to that list, so the view never changes,
-    and it costs the same to make whatever the list's length.  It yields
-    :class:`LogEvent` values and behaves as the tuple of them: it equals
-    that tuple and hashes alike, a slice of it is a tuple, and ``+`` with a
-    tuple, in either order, gives a tuple."""
+    """A read-only view of the first ``length`` entries of the event list of
+    a :class:`.serve.ForecastService`, which only appends to it, so the view
+    never changes and costs the same to make at any length of the list.  It
+    yields :class:`LogEvent` values and behaves as the tuple of them: it
+    equals that tuple and hashes alike, a slice of it is a tuple, and ``+``
+    with a tuple, in either order, gives a tuple."""
 
     __slots__ = ("_entries", "_length")
 
@@ -204,11 +195,11 @@ class PendingCommand:
 
 @dataclass(frozen=True)
 class ControllerState:
-    """A frozen snapshot of the controller.  ``event_log`` is the log so
-    far as a sequence of :class:`LogEvent` values: a tuple when built by hand,
-    and when taken from a simulator core, a read-only view that shares a
-    prefix of the core's append-only list of 4-tuples.  Taking or reading
-    a snapshot thus costs the same at any length of the log."""
+    """A frozen snapshot of the controller.  ``event_log``, which the
+    simulator never reads, holds :class:`LogEvent` values: from
+    :func:`run_plan`, :func:`tick` or :func:`submit_plan`, the tuple of that
+    call's own events; from a :class:`.serve.ForecastService`, a read-only
+    view of the service's whole log, which costs the same at any length."""
 
     boards: tuple[BoardState, ...]
     relay_on: bool
@@ -287,17 +278,16 @@ def leaf_positions(ctrl: ControllerState) -> list[LeafPosition]:
 
 
 class _Core:
-    """The simulator's mutable state, one value per leaf or board in plain
-    lists: leaf ``2*b + c`` is channel ``c`` of motor board ``b``.
+    """The simulator's mutable physical state, one value per leaf or board
+    in plain lists: leaf ``2*b + c`` is channel ``c`` of motor board ``b``.
     ``pending`` holds ``(dispatch_time, command)`` pairs in dispatch order,
-    as a plan queues them, and ``events`` the whole event log, a list of
-    ``(t, board, kind, detail)`` tuples that only ever grows by appends.
-    A snapshot whose full range for a leaf is outside ``[1,
+    as a plan queues them.  The core keeps no log and never reads a
+    snapshot's.  A snapshot whose full range for a leaf is outside ``[1,
     STEPS_FULL_RANGE_MAX]`` is refused, since some target on it would not
     fit a ``set_target`` frame."""
 
     __slots__ = ("current", "target", "full_range", "rotations", "carry", "powered",
-                 "relay_on", "clock", "step_rate", "pending", "events")
+                 "relay_on", "clock", "step_rate", "pending")
 
     def __init__(self, ctrl: ControllerState):
         channels = _channels(ctrl)
@@ -311,30 +301,36 @@ class _Core:
         self.clock = ctrl.clock
         self.step_rate = ctrl.step_rate
         self.pending = [(item.dispatch_time, item.command) for item in ctrl.pending]
-        self.events = list(ctrl.event_log)
 
-    def snapshot(self) -> ControllerState:
-        """The core's state, with a view of its log as it stands: later
-        appends do not show in the snapshot."""
+    def snapshot(self, event_log: Sequence[LogEvent] = ()) -> ControllerState:
+        """The core's state, carrying ``event_log``."""
         boards = _boards(self.powered, self.current, self.target, self.full_range,
                          self.rotations, self.carry)
-        return ControllerState(boards, self.relay_on, self.clock, self.step_rate,
-                               _EventLog(self.events, len(self.events)),
+        return ControllerState(boards, self.relay_on, self.clock, self.step_rate, event_log,
                                tuple(starmap(PendingCommand, self.pending)))
 
     def positions(self) -> list[LeafPosition]:
         """:func:`leaf_positions` of the core."""
         return list(map(_steps_to_position, self.current, self.full_range))
 
-    def run(self, plan: MotionPlan, dt: float) -> None:
-        """:func:`run_plan` on the core."""
+    def run(self, plan: MotionPlan, dt: float) -> list[tuple]:
+        """:func:`run_plan` on the core, returning the events it logged.  A
+        budget or deadline that is not finite is refused before any tick."""
         check_dt(dt)
+        budget_per_tick = _budget_per_tick(self.step_rate, dt)
         deadline = plan.total_duration + (len(plan.commands) + 2) * dt + 1.0
+        if not math.isfinite(deadline):
+            raise SimulationError(f"a tick of {dt} s puts the plan's deadline out of range")
         if not deadline / dt <= MAX_TICKS:
             raise SimulationError(
                 f"plan would take more than {MAX_TICKS} ticks of {dt} s to complete"
             )
-        _advance(self, dt, plan.total_duration, deadline, _queue(self, plan))
+        return _advance(self, dt, budget_per_tick, plan.total_duration, deadline,
+                        _queue(self, plan))
+
+
+def _logged(events: list[tuple]) -> tuple[LogEvent, ...]:
+    return tuple(map(LogEvent._make, events))
 
 
 def submit_plan(ctrl: ControllerState, plan: MotionPlan) -> ControllerState:
@@ -343,8 +339,7 @@ def submit_plan(ctrl: ControllerState, plan: MotionPlan) -> ControllerState:
     until nothing is pending or moving."""
     core = _Core(ctrl)
     core.relay_on, core.powered, core.pending, events = _queue(core, plan)
-    core.events += events
-    return core.snapshot()
+    return core.snapshot(_logged(events))
 
 
 def _queue(core: _Core, plan: MotionPlan) -> tuple:
@@ -371,14 +366,22 @@ def check_dt(dt: float) -> float:
     return _checks.positive("tick", dt)
 
 
+def _budget_per_tick(step_rate: float, dt: float) -> float:
+    """``step_rate * dt``, the steps a leaf may take in a tick, if finite."""
+    budget = step_rate * dt
+    if not _checks.is_finite(budget):
+        raise SimulationError(f"motion budget per tick (step rate {step_rate} x tick {dt} s)"
+                              " is not finite")
+    return budget
+
+
 def tick(ctrl: ControllerState, dt: float) -> ControllerState:
     """Advance the simulation by ``dt`` seconds: dispatch due commands, move
     powered channels toward their targets, emit sensor events, and gate the
     relay off once everything is idle."""
     check_dt(dt)
     core = _Core(ctrl)
-    _advance(core, dt)
-    return core.snapshot()
+    return core.snapshot(_logged(_advance(core, dt, _budget_per_tick(core.step_rate, dt))))
 
 
 def run_plan(
@@ -389,20 +392,21 @@ def run_plan(
     this call, which returns one snapshot; a plan whose deadline would take
     more than :data:`MAX_TICKS` ticks is refused before the first one."""
     core = _Core(ctrl)
-    core.run(plan, dt)
-    return core.snapshot()
+    return core.snapshot(_logged(core.run(plan, dt)))
 
 
 def _advance(
     core: _Core,
     dt: float,
+    budget_per_tick: float,
     duration: float | None = None,
     deadline: float = math.inf,
     submitted: tuple | None = None,
-) -> None:
-    """Tick ``core`` forward.  ``submitted``, from :func:`_queue`, replaces
-    the relay, power flags and pending commands before the first tick,
-    and its events go into the log ahead of the ticks' own.
+) -> list[tuple]:
+    """Tick ``core`` forward, ``budget_per_tick`` steps of motion budget a
+    tick, and return the events logged.  ``submitted``, from :func:`_queue`,
+    replaces the relay, power flags and pending commands before the first
+    tick, and its events come ahead of the ticks' own.
 
     With ``duration`` None this is exactly one tick.  Otherwise ticks run
     until nothing is pending or moving and ``duration`` has elapsed; the
@@ -426,11 +430,6 @@ def _advance(
     what is left.
     """
     step_rate = core.step_rate
-    budget_per_tick = step_rate * dt
-    if not _checks.is_finite(budget_per_tick):
-        raise SimulationError(
-            f"motion budget per tick (step rate {step_rate} x tick {dt} s) is not finite"
-        )
     current = core.current[:]
     target = core.target[:]
     rotations = core.rotations[:]
@@ -572,7 +571,7 @@ def _advance(
     core.current, core.target, core.rotations, core.carry = current, target, rotations, carry
     core.powered, core.relay_on, core.clock = powered, relay_on, clock
     core.pending = pending[dispatched:]
-    core.events += events
+    return events
 
 
 def _due_before(new_clock: float) -> float:

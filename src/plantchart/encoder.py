@@ -58,7 +58,7 @@ def check_mode(mode) -> EncodingMode:
     """Return ``mode`` if it is an :class:`EncodingMode`, which its string
     value is not; raise ``ValueError`` otherwise."""
     if not isinstance(mode, EncodingMode):
-        raise ValueError(f"mode must be an EncodingMode, got {mode!r}")
+        raise ValueError(f"mode must be an EncodingMode, got {_checks.quote(mode)}")
     return mode
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _checks
 from .series import ForecastSeries
 
 ONLINE_STUDY_1 = "online-study-1"
@@ -105,5 +106,5 @@ def get_fixture(name: str) -> Fixture:
         return FIXTURES[name]
     except KeyError:
         raise KeyError(
-            f"unknown fixture {name!r}; available: {', '.join(sorted(FIXTURES))}"
+            f"unknown fixture {_checks.quote(name)}; available: {', '.join(sorted(FIXTURES))}"
         ) from None

@@ -56,9 +56,9 @@ class DeviceProfile:
 
     def __post_init__(self):
         if not (isinstance(self.name, str) and self.name):
-            raise ValueError(f"name must be a non-empty string, got {self.name!r}")
+            raise ValueError(f"name must be a non-empty string, got {_checks.quote(self.name)}")
         if not isinstance(self.modality, Modality):
-            raise ValueError(f"modality must be a Modality, got {self.modality!r}")
+            raise ValueError(f"modality must be a Modality, got {_checks.quote(self.modality)}")
         try:
             object.__setattr__(self, "steps_full_range", tuple(self.steps_full_range))
         except TypeError:
@@ -333,11 +333,17 @@ def _json_object(text: str) -> dict:
 def profile_from_json(text: str) -> DeviceProfile:
     """Parse a custom profile document (the builtin profiles' JSON shape).
     A field that :class:`DeviceProfile` does not have raises ``ValueError``
-    naming it; an absent ``modality`` is physical."""
+    naming it, as does a ``modality`` that is not a :class:`Modality`'s
+    value; an absent ``modality`` is physical."""
     payload = _json_object(text)
     known = {f.name for f in fields(DeviceProfile)}
     for name in payload:
         if name not in known:
             raise ValueError(f"unknown field {_checks.quote(name)}")
-    modality = Modality(payload.get("modality", "physical"))
-    return DeviceProfile(**{**payload, "name": payload.get("name"), "modality": modality})
+    modality = payload.get("modality", "physical")
+    values = [m.value for m in Modality]
+    if modality not in values:
+        raise ValueError(f"modality must be one of {', '.join(map(_checks.quote, values))}, "
+                         f"got {_checks.quote(modality)}")
+    return DeviceProfile(**{**payload, "name": payload.get("name"),
+                            "modality": Modality(modality)})

@@ -433,16 +433,25 @@ def parse_style(spec: str) -> ChartStyle:
     parts = [p.strip().lower() for p in spec.split(",")]
     if len(parts) not in (3, 4):
         raise UnsupportedStyleError(
-            f"style must be 'decoration,anchoring,trunk[,animation]', got {spec!r}"
+            f"style must be 'decoration,anchoring,trunk[,animation]', got {_checks.quote(spec)}"
         )
-    try:
-        decoration = Decoration(parts[0])
-        anchoring = Anchoring(parts[1])
-        trunk = TrunkForm(parts[2])
-        if len(parts) == 4:
-            animation = Animation(parts[3])
-        else:
-            animation = Animation.UNFURL if decoration is Decoration.LEAF else Animation.GROWTH
-    except ValueError as exc:
-        raise UnsupportedStyleError(f"unknown style component in {spec!r}: {exc}") from None
+    components = [_style_component(kind, part, spec)
+                  for kind, part in zip((Decoration, Anchoring, TrunkForm, Animation), parts)]
+    decoration, anchoring, trunk = components[:3]
+    if len(parts) == 4:
+        animation = components[3]
+    else:
+        animation = Animation.UNFURL if decoration is Decoration.LEAF else Animation.GROWTH
     return ChartStyle(trunk, anchoring, decoration, animation)
+
+
+def _style_component(kind: type[enum.Enum], part: str, spec: str):
+    """The member of ``kind`` whose value is ``part``, one component of the
+    style ``spec``."""
+    try:
+        return kind(part)
+    except ValueError:
+        raise UnsupportedStyleError(
+            f"unknown style component in {_checks.quote(spec)}: "
+            f"{_checks.quote(part)} is not a valid {kind.__name__}"
+        ) from None

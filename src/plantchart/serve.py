@@ -131,8 +131,9 @@ class ForecastService:
 
     The device's state lives in one simulator core that the service keeps
     from payload to payload; :attr:`controller` is its snapshot.  The
-    core's event log is an append-only list of ``(t, board, kind, detail)``
-    tuples, which :meth:`event_log_ndjson` serializes.
+    service owns the device's event log, an append-only list of ``(t,
+    board, kind, detail)`` tuples that each play extends with the events
+    the core returns, and which :meth:`event_log_ndjson` serializes.
     ``rejections`` counts the rejected payloads; ``rejected`` keeps the
     reasons of the latest :data:`REJECTIONS_KEPT` of them, oldest first.
     """
@@ -151,17 +152,17 @@ class ForecastService:
         check_mode(self.mode)
         self._snapshot = device.initial_state(self.profile)
         self._core = device._Core(self._snapshot)
+        self._events: list[tuple] = []
 
     @property
     def controller(self) -> device.ControllerState:
         """The device's current state, built on the first read after a plan
-        was played and shared by the reads until the next one.  The core's
-        log is an append-only list of 4-tuples; the snapshot's
-        ``event_log`` is a read-only view of the prefix written so far,
-        shared with the core rather than copied, so a read costs the same
-        however long the service has run."""
+        was played and shared by the reads until the next one.  Its
+        ``event_log`` is a read-only view of the service's log as written so
+        far, shared rather than copied, so a read costs the same however
+        long the service has run."""
         if self._snapshot is None:
-            self._snapshot = self._core.snapshot()
+            self._snapshot = self._core.snapshot(device._EventLog(self._events, len(self._events)))
         return self._snapshot
 
     def handle_payload(self, payload: str | bytes) -> bool:
@@ -184,12 +185,12 @@ class ForecastService:
 
     def play(self, plan: MotionPlan) -> None:
         """Play ``plan`` on the device from its current state.  A plan the
-        simulator refuses leaves the device as it was."""
-        self._core.run(plan, self.tick)
+        simulator refuses leaves the device and the log as they were."""
+        self._events += self._core.run(plan, self.tick)
         self._snapshot = None
 
     def event_log_ndjson(self) -> str:
-        return device.events_to_ndjson(self._core.events)
+        return device.events_to_ndjson(self._events)
 
 
 def run_service(

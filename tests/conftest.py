@@ -1,8 +1,11 @@
+import os
 import signal
 import sys
+import sysconfig
 from contextlib import contextmanager
 from pathlib import Path
 
+import hypothesis
 import pytest
 
 # Test modules import the helpers beside them (oracles, strategies) by name.
@@ -14,9 +17,27 @@ sys.path.insert(0, str(Path(__file__).parent))
 WALL_LIMIT_S = 60
 
 
+_HYPOTHESIS = os.path.dirname(hypothesis.__file__) + os.sep
+_STDLIB = sysconfig.get_paths()["stdlib"] + os.sep
+_SITE_PACKAGES = sysconfig.get_paths()["purelib"] + os.sep
+
+
 class WallLimitExceeded(BaseException):
     """Raised when a test call runs past its wall limit.  It is not an
     ``Exception``, so Hypothesis does not catch it to shrink."""
+
+
+def _in_hypothesis(frame) -> bool:
+    """Whether ``frame`` runs Hypothesis's own code, or standard-library
+    code that Hypothesis called."""
+    while frame is not None:
+        path = frame.f_code.co_filename
+        if path.startswith(_HYPOTHESIS):
+            return True
+        if not path.startswith(("<", _STDLIB)) or path.startswith(_SITE_PACKAGES):
+            return False
+        frame = frame.f_back
+    return False
 
 
 @contextmanager
@@ -26,9 +47,13 @@ def _wall_limit(seconds: float):
     previous handler.  The alarm repeats every ``seconds`` until the block
     ends: one that lands in a ``gc`` callback, such as the one Hypothesis
     registers, is only reported as unraisable, and the next one stops the
-    block."""
+    block.  One that lands in Hypothesis's own code, as it draws data, is
+    let pass, since Hypothesis would report the draw it cut short as a
+    flaky strategy, an ``Exception``; the next one lands in the test."""
 
     def expire(signum, frame):
+        if _in_hypothesis(frame):
+            return
         raise WallLimitExceeded(f"ran past its {seconds} s wall limit")
 
     previous = signal.signal(signal.SIGALRM, expire)

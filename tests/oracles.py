@@ -5,7 +5,8 @@ segmentation oracle classifies every sample in place instead of walking
 monotone runs, the encoding oracles work on exact integers / decimals
 instead of floats, the simulator oracle rebuilds the frozen controller
 snapshot with ``dataclasses.replace`` on every submit and tick instead of
-advancing the mutable simulator core, the event-log oracle serializes
+advancing the mutable simulator core (each snapshot's log holds the events
+of the call that made it, as the simulator's does), the event-log oracle serializes
 every event whole instead of reusing the text of each distinct event head,
 and the frames oracle lays out and serializes every frame whole, formatting
 each coordinate through ``round``, instead of reusing per-anchor glyph
@@ -149,7 +150,8 @@ def reference_tick(ctrl: ControllerState, dt: float) -> ControllerState:
     """The per-tick simulator :func:`plantchart.device.tick` must match:
     advance by ``dt`` seconds, dispatch due commands, move powered channels
     toward their targets, emit sensor events, and gate the relay off once
-    everything is idle, rebuilding every frozen snapshot on the way."""
+    everything is idle, rebuilding every frozen snapshot on the way.  The
+    snapshot's log holds this tick's own events."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     boards = list(ctrl.boards)
@@ -261,7 +263,7 @@ def reference_tick(ctrl: ControllerState, dt: float) -> ControllerState:
         relay_on=relay_on,
         clock=new_clock,
         pending=pending,
-        event_log=ctrl.event_log + tuple(events),
+        event_log=tuple(events),
     )
 
 
@@ -279,20 +281,21 @@ def reference_events_to_ndjson(events) -> str:
 def reference_submit_plan(ctrl: ControllerState, plan: MotionPlan) -> ControllerState:
     """The snapshot :func:`plantchart.device.submit_plan` must return: each
     command pending from the clock plus its start time and, when the plan
-    has commands, the relay and motor boards switched on."""
+    has commands, the relay and motor boards switched on.  Its log holds
+    the relay's switching on, if the plan switched it."""
     if ctrl.busy:
         raise SimulationError("a plan is already executing")
     for cmd in plan.commands:
         if not 0 <= cmd.leaf < LEAF_COUNT:
             raise SimulationError(f"plan references unknown leaf {cmd.leaf}")
     if not plan.commands:
-        return ctrl
+        return replace(ctrl, event_log=())
     pending = tuple(PendingCommand(ctrl.clock + cmd.start_time, cmd) for cmd in plan.commands)
     if ctrl.relay_on:
-        return replace(ctrl, pending=pending)
+        return replace(ctrl, pending=pending, event_log=())
     relay = LogEvent(ctrl.clock, None, "relay", (("on", True),))
     return replace(ctrl, boards=_set_motor_power(ctrl.boards, True), relay_on=True,
-                   pending=pending, event_log=ctrl.event_log + (relay,))
+                   pending=pending, event_log=(relay,))
 
 
 def reference_run_plan(
@@ -300,15 +303,18 @@ def reference_run_plan(
 ) -> ControllerState:
     """Submit ``plan`` with :func:`reference_submit_plan` and apply
     :func:`reference_tick` until it has fully played out (all targets
-    reached and the plan's total duration elapsed)."""
+    reached and the plan's total duration elapsed).  The snapshot's log
+    joins the submit's events and every tick's."""
     ctrl = reference_submit_plan(ctrl, plan)
+    events = list(ctrl.event_log)
     start = ctrl.clock
     deadline = plan.total_duration + (len(plan.commands) + 2) * dt + 1.0
     while ctrl.pending or ctrl.busy or ctrl.clock - start + _EPS < plan.total_duration:
         if ctrl.clock - start > deadline:
             raise SimulationError("plan failed to complete in simulated time")
         ctrl = reference_tick(ctrl, dt)
-    return ctrl
+        events += ctrl.event_log
+    return replace(ctrl, event_log=tuple(events))
 
 
 def reference_plan(targets, current, profile, leaf_indices=None) -> MotionPlan:

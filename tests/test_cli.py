@@ -394,6 +394,49 @@ class TestBadInputs:
         assert out == ""
         assert err == f"error: invalid profile {path}: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["render", "--style", "s" * 20_000], id="style"),
+        pytest.param(["render", "--style", "leaf," + "a" * 20_000 + ",curvy"],
+                     id="style-component"),
+        pytest.param(["render", "--dims", "d" * 20_000], id="dims-name"),
+        pytest.param(["render", "--dims", "d" * 20_000 + ",1,2"], id="dims-number"),
+        pytest.param(["render", "--canvas", "c" * 20_000], id="canvas"),
+        # A longer name fails in the file system before the profile lookup.
+        pytest.param(["plan", "--profile", "p" * 250], id="profile-name"),
+    ])
+    def test_a_huge_argument_exits_2_with_a_short_line(self, run, argv):
+        code, out, err = run(*argv, "--fixture", "plantform-monday")
+        assert (code, out) == (2, "")
+        assert "..." in err and err.count("\n") == 1 and len(err) < 2 * QUOTE_LIMIT + 100
+
+    def test_a_huge_fixture_name_exits_2_with_a_short_line(self, run):
+        code, out, err = run("plan", "--fixture", "f" * 20_000)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown fixture 'fff") and "...; available: " in err
+        assert err.count("\n") == 1 and len(err) < QUOTE_LIMIT + 1000
+
+    @pytest.mark.parametrize("profile, message", [
+        pytest.param(None, "motion budget per tick (step rate 118.0 x tick 1e+308 s) is not finite",
+                     id="budget"),
+        pytest.param({"name": "slow1", "step_rate": 1.0},
+                     "a tick of 1e+308 s puts the plan's deadline out of range", id="deadline"),
+    ])
+    def test_a_huge_tick_is_refused_for_its_own_cause(self, run, tmp_path, profile, message):
+        argv = ["simulate", "--fixture", "plantform-monday", "--tick", "1e308"]
+        if profile is not None:
+            path = tmp_path / "profile.json"
+            path.write_text(json.dumps(profile))
+            argv += ["--profile", str(path)]
+        assert run(*argv) == (4, "", f"simulation error: {message}\n")
+
+    def test_a_huge_tick_that_the_deadline_allows_plays(self, run, tmp_path):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"name": "slow1", "step_rate": 1.0}))
+        code, out, err = run("simulate", "--fixture", "plantform-monday", "--tick", "1e300",
+                             "--profile", str(path))
+        assert (code, err) == (0, "")
+        assert '"kind": "target_reached"' in out
+
     @pytest.mark.parametrize("fps", ["1e308", "1e9"])
     def test_too_many_frames_exit_2_before_any_is_drawn(self, tmp_path, fps):
         """Runs the CLI in a child process limited to 20 s and 1 GiB, so

@@ -83,6 +83,20 @@ class TestBoundedWork:
         with pytest.raises(SimulationError, match="ticks"):
             run_plan(initial_state(slow), plan_for_profile([10], [0], slow))
 
+    @pytest.mark.parametrize("step_rate, message", [
+        pytest.param(118.0, "motion budget per tick (step rate 118.0 x tick 1e+308 s) "
+                     "is not finite", id="budget"),
+        pytest.param(1.0, "a tick of 1e+308 s puts the plan's deadline out of range",
+                     id="deadline"),
+    ])
+    def test_a_huge_tick_is_refused_for_its_own_cause(self, step_rate, message):
+        # Both budget and deadline overflow at step rate 118; at step rate 1
+        # only the deadline does.
+        profile = DeviceProfile("huge", Modality.PHYSICAL, step_rate=step_rate)
+        with pytest.raises(SimulationError) as info:
+            run_plan(initial_state(profile), plan_for_profile([10], [0], profile), 1e308)
+        assert str(info.value) == message
+
     def test_tick_too_small_for_the_plan_is_refused(self):
         plan = plan_for_profile([10], [0], BENCH)
         assert (plan.total_duration + 4e-7) / 1e-7 > device.MAX_TICKS
@@ -104,14 +118,15 @@ class TestPowerGating:
         assert ctrl.relay_on
 
     def test_relay_reenergizes_before_the_first_step(self):
-        ctrl = run_plan(initial_state(BENCH), plan_for_profile([4], [0], BENCH))
-        assert not ctrl.relay_on
-        ctrl = run_plan(ctrl, plan_for_profile([8], [4], BENCH))
-        relay_events = [e for e in ctrl.event_log if e.kind == "relay"]
+        first = run_plan(initial_state(BENCH), plan_for_profile([4], [0], BENCH))
+        assert not first.relay_on
+        second = run_plan(first, plan_for_profile([8], [4], BENCH))
+        log = first.event_log + second.event_log
+        relay_events = [e for e in log if e.kind == "relay"]
         assert [dict(e.detail)["on"] for e in relay_events] == [True, False, True, False]
         second_on = relay_events[2]
         first_frame_after = next(
-            e for e in ctrl.event_log if e.kind == "set_target" and e.t >= second_on.t
+            e for e in log if e.kind == "set_target" and e.t >= second_on.t
         )
         assert second_on.t <= first_frame_after.t
 

@@ -366,6 +366,15 @@ class TestProfileFromJson:
             profile_from_json(json.dumps({"name": "x", field: 5}))
         assert str(info.value) == f"unknown field {quote(field)}"
 
+    @pytest.mark.parametrize("modality", [
+        "hydraulic", "PHYSICAL", None, 1, pytest.param(["physical"], id="list"),
+        pytest.param("m" * 200, id="m*200")])
+    def test_a_document_modality_that_is_no_modality_value_is_refused_naming_it(self, modality):
+        with pytest.raises(ValueError) as info:
+            profile_from_json(json.dumps({"name": "x", "modality": modality}))
+        assert str(info.value) == (
+            f"modality must be one of 'physical', 'graphical', got {quote(modality)}")
+
     @pytest.mark.parametrize("modality", ["physical", None])
     def test_a_modality_that_is_not_a_modality_is_refused(self, modality):
         with pytest.raises(ValueError, match=f"^modality must be a Modality, got {modality!r}$"):

@@ -1,6 +1,7 @@
 import json
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,7 @@ from plantchart.motion import (
     Modality,
     MotionCommand,
     MotionPlan,
+    transition_plan,
 )
 from plantchart.serve import (
     REJECTIONS_KEPT,
@@ -228,16 +230,24 @@ class TestForecastService:
         # The next plan starts from the state before the refused one.
         back = MotionPlan("quick", (MotionCommand(0, 1, 0, 0.0, 30.0),), 30.0)
         service.play(back)
-        assert service.controller == device.run_plan(before, back, 0.5)
+        played = device.run_plan(before, back, 0.5)
+        assert service.controller == replace(played,
+                                             event_log=before.event_log + played.event_log)
 
-    def test_a_controller_read_allocates_the_same_at_any_uptime(self):
-        # At 8 bytes a log entry, a copy of a 20,000-event log alone would
-        # allocate 160 kB; the snapshot shares the log instead.
+    @staticmethod
+    def long_running_service():
+        """A PLANTFORM service past 20,000 log events, just after a play."""
         service = ForecastService(PLANTFORM)
         days = [payload_for((8, 12, 17)), payload_for((9, 10, 16))]
         while len(service.controller.event_log) < 20_000:
             assert service.handle_payload(days[service.accepted % 2])
         assert service.handle_payload(days[service.accepted % 2])
+        return service
+
+    def test_a_controller_read_allocates_the_same_at_any_uptime(self):
+        # At 8 bytes a log entry, a copy of a 20,000-event log alone would
+        # allocate 160 kB; the snapshot shares the log instead.
+        service = self.long_running_service()
         tracemalloc.start()
         try:
             ctrl = service.controller
@@ -245,6 +255,23 @@ class TestForecastService:
         finally:
             tracemalloc.stop()
         assert len(ctrl.event_log) > 20_000
+        assert peak < 32_000
+
+    def test_a_stateless_call_allocates_the_same_at_any_uptime(self):
+        # The core that run_plan builds reads none of the snapshot's log, and
+        # the snapshot it returns holds the plan's own events alone.
+        snapshot = self.long_running_service().controller
+        assert len(snapshot.event_log) > 20_000
+        positions = device.leaf_positions(snapshot)
+        plan = transition_plan(positions, [positions[0] ^ 1, *positions[1:]], PLANTFORM)
+        tracemalloc.start()
+        try:
+            ctrl = device.run_plan(snapshot, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [e.kind for e in ctrl.event_log] == [
+            "relay", "set_target", "ack", "target_reached", "relay"]
         assert peak < 32_000
 
     def test_absolute_mode_service(self):

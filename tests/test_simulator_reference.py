@@ -46,15 +46,17 @@ def assert_same_run(ours, reference):
 
 def stepped_run(ctrl, plan, dt, tick):
     """Play ``plan`` with one ``tick`` call per tick, under ``run_plan``'s
-    loop condition; also returns the most commands dispatched in one tick."""
+    loop condition, joining the calls' logs; also returns the most commands
+    dispatched in one tick."""
     ctrl = device.submit_plan(ctrl, plan)
+    log = ctrl.event_log
     start = ctrl.clock
     most = 0
     while ctrl.busy or ctrl.clock - start + device._EPS < plan.total_duration:
-        before = len(ctrl.event_log)
         ctrl = tick(ctrl, dt)
-        most = max(most, sum(e.kind == "set_target" for e in ctrl.event_log[before:]))
-    return ctrl, most
+        log += ctrl.event_log
+        most = max(most, sum(e.kind == "set_target" for e in ctrl.event_log))
+    return replace(ctrl, event_log=log), most
 
 
 def criterion5_corpus():
@@ -97,9 +99,10 @@ def reference_service(profile, payloads):
     """Play ``payloads`` the way ``ForecastService.handle_payload`` does, on
     reference snapshots: each variation planned from ``leaf_positions`` of
     the last snapshot and played by ``reference_run_plan``.  Returns the
-    last snapshot, the outcomes, the rejection reasons and the variations
-    displayed."""
+    last snapshot, carrying the runs' logs joined, the outcomes, the
+    rejection reasons and the variations displayed."""
     ctrl = device.initial_state(profile)
+    log = ()
     outcomes, rejected, displayed = [], [], 0
     for payload in payloads:
         try:
@@ -109,13 +112,14 @@ def reference_service(profile, payloads):
                 plan = plan_variation(series, variation, EncodingMode.PEAK_RELATIVE, profile,
                                       current)
                 ctrl = reference_run_plan(ctrl, plan, device.DEFAULT_TICK)
+                log += ctrl.event_log
                 displayed += 1
         except (ValueError, device.SimulationError) as exc:
             rejected.append(str(exc))
             outcomes.append(False)
         else:
             outcomes.append(True)
-    return ctrl, outcomes, rejected, displayed
+    return replace(ctrl, event_log=log), outcomes, rejected, displayed
 
 
 @pytest.mark.parametrize("profile", [PLANTFORM, CAIRNFORM, PLANTSCREEN], ids=lambda p: p.name)
@@ -221,6 +225,34 @@ def test_chained_plans_match_the_reference(profile, current, first, second, dt):
             assert ours == reference
             return
         assert_same_run(ours, reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    profile=profiles(),
+    targets=st.lists(positions, min_size=2, max_size=4),
+    dt=st.floats(min_value=0.003, max_value=1.8),
+)
+def test_chained_calls_log_what_one_service_logs(profile, targets, dt):
+    """Each ``run_plan`` returns its own events: joined, they are the bytes
+    that a service playing the same plans writes, and a plan refused
+    leaves both where they were."""
+    service = ForecastService(profile, tick=dt)
+    ctrl = device.initial_state(profile)
+    log = ()
+    for nxt in targets:
+        plan = transition_plan(device.leaf_positions(ctrl), nxt, profile)
+        try:
+            ctrl = device.run_plan(ctrl, plan, dt)
+        except device.SimulationError as exc:
+            with pytest.raises(device.SimulationError) as refused:
+                service.play(plan)
+            assert str(refused.value) == str(exc)
+            continue
+        service.play(plan)
+        log += ctrl.event_log
+    assert device.events_to_ndjson(log).encode() == service.event_log_ndjson().encode()
+    assert replace(service.controller, event_log=()) == replace(ctrl, event_log=())
 
 
 def assert_plan_matches_reference(ctrl, plan, dt):

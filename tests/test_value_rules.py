@@ -9,8 +9,17 @@ from pathlib import Path
 import pytest
 
 from plantchart._checks import QUOTE_LIMIT
-from plantchart.motion import PLANTFORM, plan_for_profile, plan_from_json, plan_to_json
-from plantchart.render import ChartDimensions, layout
+from plantchart.encoder import check_mode
+from plantchart.fixtures import get_fixture
+from plantchart.motion import (
+    PLANTFORM,
+    DeviceProfile,
+    plan_for_profile,
+    plan_from_json,
+    plan_to_json,
+    profile_from_json,
+)
+from plantchart.render import ChartDimensions, layout, parse_style
 from plantchart.svg import GALLERY_STYLES
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "plantchart").glob("*.py"))
@@ -86,6 +95,31 @@ def test_a_local_value_rule_is_caught():
     ]
 
 
+def repr_quotes_in_raises(tree: ast.AST) -> list[str]:
+    """The source of each f-string in a ``raise`` of ``tree`` that quotes a
+    value with a ``!r`` conversion, whose length nothing bounds."""
+    return [ast.unparse(node) for statement in ast.walk(tree) if isinstance(statement, ast.Raise)
+            for node in ast.walk(statement) if isinstance(node, ast.JoinedStr)
+            and any(isinstance(part, ast.FormattedValue) and part.conversion == ord("r")
+                    for part in node.values)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_rejection_quotes_a_value_with_repr(path):
+    assert repr_quotes_in_raises(_tree(path)) == []
+
+
+def test_a_repr_quote_in_a_rejection_is_caught():
+    tree = ast.parse(
+        "def check(v):\n"
+        "    if v:\n        raise ValueError(f'bad {v!r}')\n"
+        "    raise KeyError(\n        f'{v}: ' f'unknown {v!r}') from None\n"
+        "shown = f'{check!r}'\n"
+        "def fine(v):\n    raise ValueError(f'bad {quote(v)} {v!s}')\n"
+    )
+    assert sorted(repr_quotes_in_raises(tree)) == ["f'bad {v!r}'", "f'{v}: unknown {v!r}'"]
+
+
 HUGE = 100_000
 
 
@@ -99,6 +133,12 @@ HUGE_BAD_VALUES = {
     "plan-target-list": _plan_with_a_huge_target,
     "layout-position-string": lambda: layout([0, "x" * HUGE, 0], [8, 9, 10], GALLERY_STYLES[0]),
     "dimensions-extent-string": lambda: ChartDimensions(10.0, "y" * HUGE, 3.0),
+    "profile-name-list": lambda: profile_from_json(json.dumps({"name": ["a"] * HUGE})),
+    "profile-modality-string": lambda: profile_from_json(
+        json.dumps({"name": "x", "modality": "m" * HUGE})),
+    "profile-modality-object": lambda: DeviceProfile("x", "m" * HUGE),
+    "encoding-mode-string": lambda: check_mode("r" * HUGE),
+    "style-string": lambda: parse_style("s" * HUGE),
 }
 
 
@@ -108,3 +148,20 @@ def test_a_huge_bad_value_is_quoted_in_part(call):
         call()
     message = str(info.value)
     assert "..." in message and len(message) < QUOTE_LIMIT + 80
+
+
+def test_a_huge_style_component_is_quoted_in_part_with_its_style():
+    with pytest.raises(ValueError) as info:
+        parse_style("leaf," + "a" * HUGE + ",curvy")
+    message = str(info.value)
+    assert message.startswith("unknown style component in 'leaf,aaa")
+    assert message.endswith("... is not a valid Anchoring")
+    assert len(message) < 2 * QUOTE_LIMIT + 80
+
+
+def test_an_unknown_huge_fixture_name_is_quoted_in_part():
+    with pytest.raises(KeyError) as info:
+        get_fixture("f" * HUGE)
+    message = info.value.args[0]
+    assert message.startswith("unknown fixture 'fff") and "...; available: " in message
+    assert len(message) < QUOTE_LIMIT + 1000

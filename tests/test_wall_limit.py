@@ -3,6 +3,7 @@ bounds, also inside a Hypothesis test, and leaves no timer or handler
 behind."""
 
 import signal
+import sys
 import time
 
 import pytest
@@ -35,3 +36,21 @@ def test_hypothesis_does_not_catch_the_wall_limit_to_shrink(wall_limit):
             slow()
     assert not isinstance(caught.value, Exception)
     assert len(calls) < 100
+
+
+def test_an_alarm_in_hypothesis_code_is_let_pass_and_one_in_the_test_is_not(wall_limit):
+    drawing = []
+
+    @settings(max_examples=1, database=None)
+    @given(st.integers().map(lambda n: drawing.append(sys._getframe(1)) or n))
+    def draw(n):
+        pass
+
+    draw()
+    with wall_limit(60):
+        expire = signal.getsignal(signal.SIGALRM)
+        assert expire(signal.SIGALRM, drawing[0]) is None
+        with pytest.raises(BaseException) as caught:
+            expire(signal.SIGALRM, sys._getframe())
+    assert not isinstance(caught.value, Exception)
+    assert str(caught.value) == "ran past its 60 s wall limit"
