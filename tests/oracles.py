@@ -6,17 +6,17 @@ monotone runs, the encoding oracles work on exact integers / decimals
 instead of floats, the simulator oracle rebuilds the frozen controller
 snapshot with ``dataclasses.replace`` on every submit and tick instead of
 advancing the mutable simulator core (each snapshot's log holds the events
-of the call that made it, as the simulator's does), the event-log oracle serializes
-every event whole instead of reusing the text of each distinct event head,
-and the frames oracle lays out and serializes every frame whole, formatting
-each coordinate through ``round``, instead of reusing per-anchor glyph
-text, the trunk oracle evaluates the trunk's offset and sine at every
-sample instead of reading the sines from a table, and the leaf layout
-oracle builds a leaf's midrib and blade as separate point tuples and
-mirrors every path of a left-hand leaf on its own, instead of mirroring
-the blade once and sharing its midrib prefix, and the ring oracle takes
-the cosine and sine of every sample's angle instead of reading them from
-a table.
+of the call that made it, as the simulator's does), the event-log oracle
+serializes every event whole instead of reusing the text of each distinct
+event head, and the frames oracle lays out and serializes every frame
+whole, formatting each coordinate through ``round``, instead of reusing
+per-anchor glyph text, the trunk oracle evaluates the trunk's offset and
+sine at every sample instead of reading the sines from a table, and the
+leaf layout oracle builds a leaf's midrib and blade as separate point
+tuples and mirrors every path of a left-hand leaf on its own, instead of
+mirroring the blade once and sharing its midrib prefix, and the ring
+oracle takes the cosine and sine of every sample's angle instead of
+reading them from a table.
 """
 
 from __future__ import annotations
