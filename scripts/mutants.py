@@ -6,8 +6,10 @@
 
 Each mutant in :data:`MUTANTS` is one exact text replacement in one file,
 whose text occurs exactly once in it, and names its killer: the node id of
-a test that fails on it (``tests/test_mutants.py`` checks both at HEAD, so
-the table cannot rot unseen).  HEAD is exported with ``git archive`` into a
+a test that fails on it.  ``tests/test_mutants.py`` checks at HEAD that
+the text occurs once and that the killer names a test function of its
+file; a killer whose parametrize id is stale collects no test, which this
+script reports as an error of the table, so the table cannot rot unseen.  HEAD is exported with ``git archive`` into a
 fresh temporary directory per run, one copy at a time, and tests run there
 with ``-x``, ``PYTHONDONTWRITEBYTECODE=1`` and no pytest cache.  The
 unmutated copy runs the whole of Tier-1 first, less the table's own test:
@@ -38,6 +40,9 @@ PYTEST = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
 #: Tier-1.  ``tests/test_mutants.py`` is left out: in a mutated copy the
 #: mutation's text is gone, so it would kill every mutant itself.
 TIER1 = ["--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
+#: pytest's exit statuses for a usage error, such as a node id it does not
+#: find, and for no test collected.
+NO_TEST = (4, 5)
 
 DEVICE = "src/plantchart/device.py"
 MOTION = "src/plantchart/motion.py"
@@ -122,7 +127,7 @@ MUTANTS = (
     Mutant("unknown-profile-field-accepted", MOTION, "if name not in known:", "if False:",
            "tests/test_cli.py::TestBadInputs::test_bad_profile_field_exits_2_naming_it"
            "[serve-profile3-unknown field 'reset_before_next_variation']"),
-    Mutant("profile-modality-unchecked", MOTION, "if modality not in values:", "if False:",
+    Mutant("profile-modality-unchecked", CHECKS, "    if value in values:", "    if True:",
            "tests/test_motion.py::TestProfileFromJson::"
            "test_a_document_modality_that_is_no_modality_value_is_refused_naming_it[hydraulic]"),
     Mutant("profile-name-quoted-whole", MOTION,
@@ -182,6 +187,7 @@ class Outcome(NamedTuple):
     failed: bool
     seconds: float
     first_failure: str
+    code: int  # pytest's exit status
     by_killer: bool = False
 
 
@@ -195,7 +201,7 @@ def pytest(tree: Path, *args: str) -> Outcome:
     seconds = time.monotonic() - start
     failures = [line.partition(" ")[2].split(" - ")[0] for line in run.stdout.splitlines()
                 if line.startswith(("FAILED ", "ERROR "))]
-    return Outcome(run.returncode != 0, seconds, failures[0] if failures else "")
+    return Outcome(run.returncode != 0, seconds, failures[0] if failures else "", run.returncode)
 
 
 def mutate(tree: Path, mutant: Mutant) -> None:
@@ -216,7 +222,9 @@ def run(mutant: Mutant | None) -> Outcome:
             return pytest(tree, *TIER1)
         mutate(tree, mutant)
         first = pytest(tree, mutant.killer)
-        if first.first_failure:  # not when pytest finds no such test
+        if first.code in NO_TEST:
+            raise SystemExit(f"{mutant.name}: its killer collects no test: {mutant.killer}")
+        if first.failed:
             return first._replace(by_killer=True)
         whole = pytest(tree, *TIER1)
         return whole._replace(seconds=first.seconds + whole.seconds)

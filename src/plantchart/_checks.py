@@ -70,6 +70,13 @@ def an_int(name: str, value, lo=None, hi=None) -> int:
     _refuse(name, rule, value)
 
 
+def one_of(name: str, value, values):
+    """``value`` if it equals one of ``values``, which the rule quotes."""
+    if value in values:
+        return value
+    _refuse(name, f"one of {', '.join(map(quote, values))}", value)
+
+
 def within(subject: str, values, lo, hi, slack: float = 0.0) -> None:
     """Raise ``<subject> <value> out of range [lo, hi]`` at the first of
     ``values`` that is not a number in ``[lo, hi + slack]``."""

@@ -302,7 +302,7 @@ class _Core:
         self.step_rate = ctrl.step_rate
         self.pending = [(item.dispatch_time, item.command) for item in ctrl.pending]
 
-    def snapshot(self, event_log: Sequence[LogEvent] = ()) -> ControllerState:
+    def snapshot(self, event_log: Sequence[LogEvent]) -> ControllerState:
         """The core's state, carrying ``event_log``."""
         boards = _boards(self.powered, self.current, self.target, self.full_range,
                          self.rotations, self.carry)

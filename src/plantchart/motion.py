@@ -340,10 +340,7 @@ def profile_from_json(text: str) -> DeviceProfile:
     for name in payload:
         if name not in known:
             raise ValueError(f"unknown field {_checks.quote(name)}")
-    modality = payload.get("modality", "physical")
-    values = [m.value for m in Modality]
-    if modality not in values:
-        raise ValueError(f"modality must be one of {', '.join(map(_checks.quote, values))}, "
-                         f"got {_checks.quote(modality)}")
+    modality = _checks.one_of("modality", payload.get("modality", "physical"),
+                              [m.value for m in Modality])
     return DeviceProfile(**{**payload, "name": payload.get("name"),
                             "modality": Modality(modality)})

@@ -447,7 +447,9 @@ def parse_style(spec: str) -> ChartStyle:
 
 def _style_component(kind: type[enum.Enum], part: str, spec: str):
     """The member of ``kind`` whose value is ``part``, one component of the
-    style ``spec``."""
+    style ``spec``.  The refusal keeps the enum's own wording, ``<part> is
+    not a valid <Kind>``, so a short bad component keeps the message bytes
+    it had when the enum worded it; only the quotes are bounded."""
     try:
         return kind(part)
     except ValueError:

@@ -16,6 +16,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 #: and Hypothesis then shrinks for minutes, so such a test fails here.
 WALL_LIMIT_S = 60
 
+#: Alarms that land in Hypothesis's own code and are let pass, per block.
+HYPOTHESIS_PASSES = 2
+
 
 _HYPOTHESIS = os.path.dirname(hypothesis.__file__) + os.sep
 _STDLIB = sysconfig.get_paths()["stdlib"] + os.sep
@@ -49,10 +52,15 @@ def _wall_limit(seconds: float):
     registers, is only reported as unraisable, and the next one stops the
     block.  One that lands in Hypothesis's own code, as it draws data, is
     let pass, since Hypothesis would report the draw it cut short as a
-    flaky strategy, an ``Exception``; the next one lands in the test."""
+    flaky strategy, an ``Exception``; the next one lands in the test.  At
+    most :data:`HYPOTHESIS_PASSES` are let pass, so a block stuck in
+    Hypothesis's own code is stopped too."""
+    passed = 0
 
     def expire(signum, frame):
-        if _in_hypothesis(frame):
+        nonlocal passed
+        if passed < HYPOTHESIS_PASSES and _in_hypothesis(frame):
+            passed += 1
             return
         raise WallLimitExceeded(f"ran past its {seconds} s wall limit")
 

@@ -54,3 +54,20 @@ def test_an_alarm_in_hypothesis_code_is_let_pass_and_one_in_the_test_is_not(wall
             expire(signal.SIGALRM, sys._getframe())
     assert not isinstance(caught.value, Exception)
     assert str(caught.value) == "ran past its 60 s wall limit"
+
+
+def test_a_block_stuck_in_hypothesis_code_is_still_stopped(wall_limit):
+    drawing = []
+
+    @settings(max_examples=1, database=None)
+    @given(st.integers().map(lambda n: drawing.append(sys._getframe(1)) or n))
+    def draw(n):
+        pass
+
+    draw()
+    with wall_limit(60):
+        expire = signal.getsignal(signal.SIGALRM)
+        with pytest.raises(BaseException) as caught:
+            for _ in range(10):
+                expire(signal.SIGALRM, drawing[0])
+    assert str(caught.value) == "ran past its 60 s wall limit"
