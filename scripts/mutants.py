@@ -52,6 +52,7 @@ RENDER = "src/plantchart/render.py"
 SVG = "src/plantchart/svg.py"
 CHECKS = "src/plantchart/_checks.py"
 CLI = "src/plantchart/cli.py"
+PACKAGE = "src/plantchart/__init__.py"
 
 
 class Mutant(NamedTuple):
@@ -139,6 +140,14 @@ MUTANTS = (
     Mutant("input-and-fixture-both-accepted", CLI, "if args.fixture and args.input:", "if False:",
            "tests/test_cli.py::TestBadInputs::"
            "test_exits_with_one_line_and_no_traceback[input-and-fixture]"),
+    Mutant("profile-lookup-on-path-is-file", CLI,
+           "if os.path.isfile(path):", "if path.is_file():",
+           "tests/test_cli.py::TestBadInputs::test_a_huge_argument_exits_2_with_a_short_line"
+           "[profile-name-too-long-for-a-file]"),
+    Mutant("typed-option-quoted-whole", CLI,
+           "value: {_checks.quote(text)}", "value: {text!r}",
+           "tests/test_cli.py::TestBadInputs::test_a_huge_typed_value_is_refused_with_a_short_line"
+           "[simulate--tick]"),
     Mutant("csv-row-width-unchecked", SERIES, "if len(row) != 2:", "if len(row) > 2:",
            SHORT_BAD_VALUE + "[csv-row-of-1]"),
     Mutant("json-sample-object-unchecked", SERIES,
@@ -151,6 +160,15 @@ MUTANTS = (
            "tests/test_serve.py::TestFeeds::test_run_service_returns_when_the_feed_closes"),
     Mutant("hour-past-17-not-refused", SERVE, "elif position != 0:", "elif False:",
            "tests/test_cli.py::TestSimulate::test_raised_leaf_at_18_exits_3_with_one_line[plan]"),
+    # What a process imports: the renderer only where it draws.
+    Mutant("package-imports-svg-eagerly", PACKAGE,
+           "from . import _checks\n", "from . import _checks, svg\n",
+           "tests/test_lazy_imports.py::test_a_service_loads_no_renderer"),
+    Mutant("cli-imports-render-at-load", CLI,
+           "from . import _checks, device, fixtures, serve\n",
+           "from . import _checks, device, fixtures, render, serve\n",
+           "tests/test_lazy_imports.py::test_only_the_command_that_draws_loads_the_renderer"
+           "[simulate]"),
     # Layout and SVG: tables, caches and the checks of a frameless source.
     Mutant("trunk-memo-untyped", RENDER,
            "lru_cache(maxsize=TRUNK_MEMO_SIZE, typed=True)",

@@ -15,16 +15,11 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import _checks, device, fixtures, serve
 from .encoder import EncodingDomainError, EncodingMode, encode_series
 from .motion import BUILTIN_PROFILES, DeviceProfile, plan_to_json, profile_from_json
-from .render import (
-    DEVICE_DIMENSIONS,
-    ChartDimensions,
-    layout,
-    parse_style,
-)
 from .series import (
     ForecastSeries,
     Variation,
@@ -33,7 +28,9 @@ from .series import (
     slope_ranges,
     storage_advice,
 )
-from .svg import design_space_gallery, iter_frames, render_svg
+
+if TYPE_CHECKING:
+    from .render import ChartDimensions
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -89,7 +86,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", default="plantform")
     p.add_argument("--all-variations", action="store_true",
                    help="display every variation in sequence")
-    p.add_argument("--tick", type=float, default=device.DEFAULT_TICK)
+    p.add_argument("--tick", type=_float_arg, default=device.DEFAULT_TICK)
     p.add_argument("--out", type=Path, help="event log destination (NDJSON)")
     p.set_defaults(handler=cmd_simulate)
 
@@ -102,7 +99,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path)
     p.add_argument("--frames", type=Path, metavar="DIR",
                    help="write animation frames of the motion plan here")
-    p.add_argument("--fps", type=float, default=4.0)
+    p.add_argument("--fps", type=_float_arg, default=4.0)
     p.add_argument("--profile", default="plantscreen",
                    help="profile used for --frames plans")
     p.add_argument("--gallery", type=Path, metavar="DIR",
@@ -116,10 +113,10 @@ def _parser() -> argparse.ArgumentParser:
     _add_mode_arg(p)
     p.add_argument("--profile", default="plantform")
     p.add_argument("--log", type=Path, help="event log destination (NDJSON)")
-    p.add_argument("--tick", type=float, default=device.DEFAULT_TICK)
-    p.add_argument("--max-messages", type=int)
-    p.add_argument("--max-idle-polls", type=int)
-    p.add_argument("--poll-timeout", type=float, default=0.2)
+    p.add_argument("--tick", type=_float_arg, default=device.DEFAULT_TICK)
+    p.add_argument("--max-messages", type=_int_arg)
+    p.add_argument("--max-idle-polls", type=_int_arg)
+    p.add_argument("--poll-timeout", type=_float_arg, default=0.2)
     p.set_defaults(handler=cmd_serve)
 
     p = sub.add_parser("fixtures", help="list the built-in study variations")
@@ -137,7 +134,7 @@ def _add_input_args(parser) -> None:
 def _add_variation_args(parser) -> None:
     _add_input_args(parser)
     _add_mode_arg(parser)
-    parser.add_argument("--variation-index", type=int, default=0)
+    parser.add_argument("--variation-index", type=_int_arg, default=0)
 
 
 def _add_mode_arg(parser) -> None:
@@ -173,7 +170,9 @@ def _resolve_profile(name: str) -> DeviceProfile:
         candidates.append(Path(profile_dir) / f"{name}.json")
         candidates.append(Path(profile_dir) / name)
     for path in candidates:
-        if path.is_file():
+        # os.path.isfile, unlike Path.is_file, is False for a name the
+        # file system refuses as too long.
+        if os.path.isfile(path):
             try:
                 return profile_from_json(path.read_text(encoding="utf-8"))
             except ValueError as exc:  # json.JSONDecodeError is one
@@ -184,6 +183,8 @@ def _resolve_profile(name: str) -> DeviceProfile:
 
 
 def _resolve_dims(spec: str) -> ChartDimensions:
+    from .render import DEVICE_DIMENSIONS, ChartDimensions
+
     if spec in DEVICE_DIMENSIONS:
         return DEVICE_DIMENSIONS[spec]
     parts = spec.split(",")
@@ -196,6 +197,24 @@ def _resolve_dims(spec: str) -> ChartDimensions:
         return ChartDimensions(*map(_float, parts))
     except ValueError as exc:
         raise CliError(f"invalid dims {_checks.quote(spec)}: {exc}") from None
+
+
+def _typed(convert):
+    """An argparse ``type=`` that converts with ``convert`` (``int`` or
+    ``float``) and refuses with argparse's own wording, but quoting at most
+    :data:`._checks.QUOTE_LIMIT` characters of the value."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {_checks.quote(text)}") from None
+
+    return parse
+
+
+_int_arg = _typed(int)
+_float_arg = _typed(float)
 
 
 def _float(text: str) -> float:
@@ -288,6 +307,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_render(args) -> int:
+    # Only this command draws, so only it imports the renderer.
+    from .render import layout, parse_style
+    from .svg import design_space_gallery, iter_frames, render_svg
+
     style = parse_style(args.style)
     dims = _resolve_dims(args.dims)
     try:

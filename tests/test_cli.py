@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import plantchart
-from plantchart import fixtures, serve
+from plantchart import cli, fixtures, serve
 from plantchart.cli import main
 from plantchart.motion import PLANTFORM
 from plantchart._checks import QUOTE_LIMIT
@@ -31,6 +32,16 @@ FLAT_CSV = "hour,rate\n" + "\n".join(f"{h},0.0" for h in range(8, 13))
 MONDAY_JSON = json.dumps({"samples": [
     {"hour": h, "rate": r} for h, r in zip(range(8, 18), (0, .3, .5, .6, 1, .6, .5, .3, .2, 0))
 ]}).encode()
+#: Every option that argparse converts to a number, and the number's type.
+TYPED_OPTIONS = [
+    *((command, "--variation-index", "int") for command in ("encode", "plan", "simulate", "render")),
+    ("simulate", "--tick", "float"),
+    ("render", "--fps", "float"),
+    ("serve", "--tick", "float"),
+    ("serve", "--max-messages", "int"),
+    ("serve", "--max-idle-polls", "int"),
+    ("serve", "--poll-timeout", "float"),
+]
 TWO_VARIATIONS_JSON = json.dumps({"samples": [
     {"hour": h, "rate": r} for h, r in zip(range(8, 13), (0.0, 0.6, 0.2, 0.8, 0.0))
 ]})
@@ -401,13 +412,43 @@ class TestBadInputs:
         pytest.param(["render", "--dims", "d" * 20_000], id="dims-name"),
         pytest.param(["render", "--dims", "d" * 20_000 + ",1,2"], id="dims-number"),
         pytest.param(["render", "--canvas", "c" * 20_000], id="canvas"),
-        # A longer name fails in the file system before the profile lookup.
         pytest.param(["plan", "--profile", "p" * 250], id="profile-name"),
+        # Longer than the file system allows in a file name.
+        pytest.param(["plan", "--profile", "p" * 20_000], id="profile-name-too-long-for-a-file"),
     ])
     def test_a_huge_argument_exits_2_with_a_short_line(self, run, argv):
         code, out, err = run(*argv, "--fixture", "plantform-monday")
         assert (code, out) == (2, "")
         assert "..." in err and err.count("\n") == 1 and len(err) < 2 * QUOTE_LIMIT + 100
+
+    @pytest.mark.parametrize("command, option, kind", TYPED_OPTIONS,
+                             ids=[f"{c}{o}" for c, o, _ in TYPED_OPTIONS])
+    def test_a_huge_typed_value_is_refused_with_a_short_line(self, capsys, command, option, kind):
+        with pytest.raises(SystemExit) as exited:
+            main([command, option, "x" * 20_000])
+        out, err = capsys.readouterr()
+        assert (exited.value.code, out) == (2, "")
+        assert err.endswith(f" error: argument {option}: invalid {kind} value: "
+                            f"'{'x' * (QUOTE_LIMIT - 1)}...\n")
+        assert len(err) < 1000
+
+    @pytest.mark.parametrize("command, option, kind", TYPED_OPTIONS,
+                             ids=[f"{c}{o}" for c, o, _ in TYPED_OPTIONS])
+    def test_a_short_typed_value_is_refused_in_argparse_words(self, capsys, command, option, kind):
+        with pytest.raises(SystemExit) as exited:
+            main([command, option, "abc"])
+        out, err = capsys.readouterr()
+        assert (exited.value.code, out) == (2, "")
+        assert err.endswith(f"\nplantchart {command}: error: argument {option}: "
+                            f"invalid {kind} value: 'abc'\n")
+
+    def test_the_typed_options_listed_are_every_typed_option(self):
+        (commands,) = [action.choices for action in cli._parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        typed = {(command, action.option_strings[0])
+                 for command, parser in commands.items() for action in parser._actions
+                 if action.type not in (None, Path) and action.option_strings}
+        assert typed == {(command, option) for command, option, _ in TYPED_OPTIONS}
 
     def test_a_huge_fixture_name_exits_2_with_a_short_line(self, run):
         code, out, err = run("plan", "--fixture", "f" * 20_000)
