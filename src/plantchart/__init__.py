@@ -11,8 +11,6 @@ package's import time.  A name read once is kept in this module, so later
 reads are plain attribute lookups.  ``from plantchart import *`` binds
 every name of :data:`__all__`, the five modules included."""
 
-import importlib
-
 from . import _checks
 
 #: The re-exported names, by the module that owns them.
@@ -76,13 +74,19 @@ __all__ = [*_OWNER, *_EXPORTS]
 __version__ = "0.1.0"
 
 
+def _submodule(name: str):
+    """``plantchart.<name>``, imported as ``from . import <name>`` imports
+    it, so that ``-X importtime`` reports it, but without reading an
+    attribute of this module."""
+    return __import__(name, globals(), level=1)
+
+
 def __getattr__(name: str):
     if name in _EXPORTS:
-        # Importing a submodule binds it here.
-        return importlib.import_module(f"{__name__}.{name}")
+        return _submodule(name)  # which binds it here
     if name not in _OWNER:
         raise AttributeError(f"module '{__name__}' has no attribute {_checks.quote(name)}")
-    value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    value = getattr(_submodule(_OWNER[name]), name)
     globals()[name] = value
     return value
 
