@@ -6,8 +6,8 @@ chart design space.
 The names below are re-exported from the module that owns each one, and
 each owner is imported on the first read of one of its names (PEP 562).
 A process that only plans and simulates, such as ``plantchart serve``,
-then never imports ``render`` and ``svg``, about a quarter of the
-package's import time.  A name read once is kept in this module, so later
+then never imports ``render`` and ``svg``, which cuts its start-up by
+about a quarter.  A name read once is kept in this module, so later
 reads are plain attribute lookups.  ``from plantchart import *`` binds
 every name of :data:`__all__`, the five modules included."""
 
