@@ -68,6 +68,8 @@ DAY_DIGESTS = "tests/test_cli_digests.py::test_cli_output_matches_pinned_digests
 LOG_BYTES = "tests/test_event_log.py::test_same_bytes_as_the_reference"
 SHORT_BAD_VALUE = "tests/test_series.py::TestLoadSeries::test_a_short_bad_value_is_quoted_whole"
 CHAINED_CALLS = "tests/test_simulator_reference.py::test_chained_calls_log_what_one_service_logs"
+STATIC_CHARTS = ("tests/test_lazy_imports.py::"
+                 "test_a_process_that_draws_static_charts_loads_no_pipeline")
 
 MUTANTS = (
     # The simulator loop: stretches between events, and unpowered leaves.
@@ -144,6 +146,10 @@ MUTANTS = (
            "if os.path.isfile(path):", "if path.is_file():",
            "tests/test_cli.py::TestBadInputs::test_a_huge_argument_exits_2_with_a_short_line"
            "[profile-name-too-long-for-a-file]"),
+    Mutant("choice-quoted-whole", CLI,
+           "repr(value), _checks.quote(value), 1)", "repr(value), repr(value), 1)",
+           "tests/test_cli.py::TestBadInputs::test_a_huge_choice_is_refused_with_a_short_line"
+           "[mode]"),
     Mutant("typed-option-quoted-whole", CLI,
            "value: {_checks.quote(text)}", "value: {text!r}",
            "tests/test_cli.py::TestBadInputs::test_a_huge_typed_value_is_refused_with_a_short_line"
@@ -160,7 +166,8 @@ MUTANTS = (
            "tests/test_serve.py::TestFeeds::test_run_service_returns_when_the_feed_closes"),
     Mutant("hour-past-17-not-refused", SERVE, "elif position != 0:", "elif False:",
            "tests/test_cli.py::TestSimulate::test_raised_leaf_at_18_exits_3_with_one_line[plan]"),
-    # What a process imports: the renderer only where it draws.
+    # What a process imports: the renderer only where it draws, and no
+    # forecast pipeline where it draws static charts.
     Mutant("package-imports-svg-eagerly", PACKAGE,
            "from . import _checks\n", "from . import _checks, svg\n",
            "tests/test_lazy_imports.py::test_a_service_loads_no_renderer"),
@@ -169,6 +176,16 @@ MUTANTS = (
            "from . import _checks, device, fixtures, render, serve\n",
            "tests/test_lazy_imports.py::test_only_the_command_that_draws_loads_the_renderer"
            "[simulate]"),
+    Mutant("render-imports-the-pipeline", RENDER,
+           "from ._checks import MAX_SAMPLES, MIN_SAMPLES, POSITION_MAX, POSITION_MIN\n",
+           "from ._checks import POSITION_MAX, POSITION_MIN\n"
+           "from .series import MAX_SAMPLES, MIN_SAMPLES, HourSlot\n",
+           STATIC_CHARTS),
+    Mutant("svg-imports-motion-at-load", SVG,
+           "from ._checks import POSITION_MAX, POSITION_MIN\n",
+           "from ._checks import POSITION_MAX, POSITION_MIN\n"
+           "from .motion import MAX_FRAMES, FrameTimeline, MotionPlan, leaf_for_hour\n",
+           STATIC_CHARTS),
     # Layout and SVG: tables, caches and the checks of a frameless source.
     Mutant("trunk-memo-untyped", RENDER,
            "lru_cache(maxsize=TRUNK_MEMO_SIZE, typed=True)",
@@ -193,6 +210,10 @@ MUTANTS = (
            "if not extent_rows:\n        return iter(())\n    first = extent_rows[0]",
            "tests/test_render.py::TestRenderFrames::"
            "test_a_source_with_no_frames_is_still_checked[two-hours-plan-with-no-commands]"),
+    Mutant("frames-initial-positions-unchecked", SVG,
+           "for i, position in enumerate(initial_positions):", "for i, position in enumerate(()):",
+           "tests/test_render.py::TestRenderFrames::"
+           "test_bad_initial_positions_are_refused_before_the_first_frame[bool]"),
     Mutant("trunk-text-keyed-by-projection-alone", SVG,
            "_trunk_d = functools.lru_cache(maxsize=TRUNK_CACHE_SIZE)(_path_d)",
            "_trunk_d = functools.lru_cache(maxsize=TRUNK_CACHE_SIZE)("

@@ -8,12 +8,25 @@ documented type that breaks a rule raises ``ValueError`` naming the field;
 a value of another type may raise ``TypeError``.
 
 The checks run per sample, per command and per frame row, so the number
-test of :func:`is_number` is spelt out where it is needed, not called."""
+test of :func:`is_number` is spelt out where it is needed, not called.
+
+This module also owns the two ranges that several layers check, so that
+a layer can check them without importing the layer that uses them: a
+leaf position is in ``POSITION_MIN..POSITION_MAX``, and a chart or a
+forecast holds ``MIN_SAMPLES..MAX_SAMPLES`` hours.  ``encoder`` and
+``series`` re-export them under the same names."""
 
 import math
 
 #: Most characters of a bad value that a rejection message quotes.
 QUOTE_LIMIT = 80
+
+#: The leaf positions: furled at 0, fully unfurled at 10.
+POSITION_MIN = 0
+POSITION_MAX = 10
+#: The hours a chart displays and a forecast holds.
+MIN_SAMPLES = 3
+MAX_SAMPLES = 10
 
 
 def quote(value: object) -> str:

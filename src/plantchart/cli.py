@@ -59,8 +59,22 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a refused choice, of an option or of the
+    command, is quoted through :func:`._checks.quote`.  argparse quotes it
+    with ``%r`` after any ``type=`` has run, so a ``type=`` cannot bound
+    it; the rest of argparse's wording is kept."""
+
+    def _check_value(self, action, value):
+        try:
+            super()._check_value(action, value)
+        except argparse.ArgumentError as exc:
+            message = exc.message.replace(repr(value), _checks.quote(value), 1)
+            raise argparse.ArgumentError(action, message) from None
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="plantchart",
         description="Plant-like vertical charts and actuation plans for "
         "hourly renewable-energy forecasts.",

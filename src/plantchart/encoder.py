@@ -27,12 +27,10 @@ import enum
 import math
 
 from . import _checks
+from ._checks import POSITION_MAX, POSITION_MIN
 from .series import ForecastSeries, Rate, Variation
 
 LeafPosition = int
-
-POSITION_MIN = 0
-POSITION_MAX = 10
 
 # Upper bin edges of the peak-relative table, paired with the emitted
 # position.  The peak ratio 1.0 overrides the last bin and maps to 10,

@@ -26,6 +26,11 @@ trunk object.  The memo keys on the height's type as well as its value:
 an int height and the float equal to it give different trunk points once
 ``height * k`` is past 2**53, where the int product is exact and the float
 one rounds, and ``2**53 - 1`` as int and as float differ in 29 of 97.
+
+A chart is drawn from positions it is given, so this module imports no
+forecast pipeline: of the package it imports only ``_checks``, which
+owns the position and hour-count ranges it checks.  ``LeafPosition``
+and ``HourSlot`` are imported for annotations only.
 """
 
 from __future__ import annotations
@@ -34,10 +39,14 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import _checks
-from .encoder import POSITION_MAX, POSITION_MIN, LeafPosition
-from .series import MAX_SAMPLES, MIN_SAMPLES, HourSlot
+from ._checks import MAX_SAMPLES, MIN_SAMPLES, POSITION_MAX, POSITION_MIN
+
+if TYPE_CHECKING:
+    from .encoder import LeafPosition
+    from .series import HourSlot
 
 
 class TrunkForm(enum.Enum):

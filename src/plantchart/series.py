@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _checks
-from ._checks import quote
+from ._checks import MAX_SAMPLES, MIN_SAMPLES, quote
 
 # Rates are dimensionless fractions of the maximum availability.
 Rate = float
@@ -31,8 +31,6 @@ HourSlot = int
 
 FIRST_HOUR = 8
 LAST_HOUR = 18
-MIN_SAMPLES = 3
-MAX_SAMPLES = 10
 
 
 class ForecastDocumentError(ValueError):

@@ -32,6 +32,12 @@ leaf's blade starts with its midrib's points, so they are formatted once.
 Reuse compares points by value, here and for the trunk, which keeps the
 bytes: equal floats format alike once ``-0.000`` is rewritten as
 ``0.000``, and a NaN matches at most itself.
+
+Of the package this module imports ``_checks`` and ``render`` at load,
+so a process that draws static charts loads no forecast pipeline.  Only
+:func:`iter_frames` samples a plan or a timeline, and it imports
+``motion`` when called; a repeated import costs about a microsecond
+against milliseconds per frames call.
 """
 
 from __future__ import annotations
@@ -39,9 +45,10 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
 from . import _checks
-from .motion import MAX_FRAMES, FrameTimeline, MotionPlan, leaf_for_hour
+from ._checks import POSITION_MAX, POSITION_MIN
 from .render import (
     DEFAULT_DIMENSIONS,
     Anchoring,
@@ -58,6 +65,9 @@ from .render import (
     layout_extents,
     place_anchor,
 )
+
+if TYPE_CHECKING:
+    from .motion import FrameTimeline, MotionPlan
 
 GLYPH_FILL = "#3f7d2e"
 GLYPH_STROKE = "#2c5a20"
@@ -175,14 +185,30 @@ def iter_frames(
     A frame timeline renders its own frames (point extensions normalized by
     ``full_extension``, a finite number, default the timeline maximum, and
     1.0 when at most 0; single-channel frames broadcast to every hour).  A motion plan is sampled at ``fps`` into at
-    most :data:`MAX_FRAMES` frames; hours show plan leaves by ``leaf_for_hour``.
+    most :data:`.motion.MAX_FRAMES` frames; hours show plan leaves by
+    ``leaf_for_hour``, and a leaf shows its hour's ``initial_positions``
+    entry, an int in [0, 10] and default 0, until its first command starts.
     Every input is checked before this returns, so a bad frame raises
     ``ValueError`` here, before the first document is made.
     """
+    from .motion import MAX_FRAMES, FrameTimeline, leaf_for_hour
+
     if isinstance(source, FrameTimeline):
         extent_rows = _timeline_extents(source, len(hours), full_extension)
     else:
-        extent_rows = _plan_extents(source, hours, fps, initial_positions)
+        _checks.positive("fps", fps)
+        if not source.total_duration * fps <= MAX_FRAMES:  # an infinite count too
+            raise ValueError(
+                f"{source.total_duration} s at {fps} fps is more than {MAX_FRAMES} frames")
+        if initial_positions is None:
+            initial_positions = [0] * len(hours)
+        elif len(initial_positions) != len(hours):
+            raise ValueError(f"expected {len(hours)} initial_positions, one per hour, "
+                             f"got {len(initial_positions)}")
+        for i, position in enumerate(initial_positions):
+            _checks.an_int(f"initial_positions[{i}]", position, POSITION_MIN, POSITION_MAX)
+        leaves = [leaf_for_hour(h) for h in hours]
+        extent_rows = _plan_extents(source, leaves, fps, initial_positions)
     # With no frames, a furled row still checks the hours and the canvas.
     first = extent_rows[0] if extent_rows else [0.0] * len(hours)
     scene = layout_extents(first, hours, style, dims)
@@ -233,13 +259,9 @@ def _timeline_extents(timeline, n_hours, full_extension):
     return rows
 
 
-def _plan_extents(plan, hours, fps, initial_positions):
-    _checks.positive("fps", fps)
-    if not plan.total_duration * fps <= MAX_FRAMES:  # an infinite count too
-        raise ValueError(f"{plan.total_duration} s at {fps} fps is more than {MAX_FRAMES} frames")
-    if initial_positions is None:
-        initial_positions = [0] * len(hours)
-    leaves = [leaf_for_hour(h) for h in hours]
+def _plan_extents(plan, leaves, fps, initial_positions):
+    """Each frame's extents of ``leaves``, sampled at ``fps``; the caller
+    has checked every argument."""
     per_leaf = {leaf: [] for leaf in leaves}
     for cmd in plan.commands:
         if cmd.leaf in per_leaf:
@@ -269,7 +291,7 @@ def _plan_extents(plan, hours, fps, initial_positions):
                 else:
                     frac = (t - cmd.start_time) / cmd.duration if cmd.duration else 1.0
                     pos = cmd.source + (cmd.target - cmd.source) * frac
-            row.append(pos / 10)
+            row.append(pos / POSITION_MAX)
         rows.append(row)
     return rows
 

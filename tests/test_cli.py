@@ -12,9 +12,8 @@ import pytest
 import plantchart
 from plantchart import cli, fixtures, serve
 from plantchart.cli import main
-from plantchart.motion import PLANTFORM
+from plantchart.motion import MAX_FRAMES, PLANTFORM
 from plantchart._checks import QUOTE_LIMIT
-from plantchart.svg import MAX_FRAMES
 from strategies import UNPARSABLE_DOCUMENTS
 
 
@@ -441,6 +440,44 @@ class TestBadInputs:
         assert (exited.value.code, out) == (2, "")
         assert err.endswith(f"\nplantchart {command}: error: argument {option}: "
                             f"invalid {kind} value: 'abc'\n")
+
+    @pytest.mark.parametrize("argv, argument", [
+        pytest.param(["simulate", "--fixture", "plantform-monday", "--mode", "m" * 20_000],
+                     "--mode", id="mode"),
+        pytest.param(["m" * 20_000], "command", id="command"),
+    ])
+    def test_a_huge_choice_is_refused_with_a_short_line(self, capsys, argv, argument):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exited.value.code, out) == (2, "")
+        assert f" error: argument {argument}: invalid choice: 'mmm" in err
+        assert "..." in err and len(err) < 1000
+
+    @pytest.mark.parametrize("argv, prog, argument, choices", [
+        pytest.param(["simulate", "--mode", "abc"], "plantchart simulate", "--mode",
+                     ["relative", "absolute", "six-step"], id="mode"),
+        pytest.param(["abc"], "plantchart", "command",
+                     ["segment", "encode", "plan", "simulate", "render", "serve", "fixtures"],
+                     id="command"),
+    ])
+    def test_a_short_choice_is_refused_in_argparse_words(self, capsys, argv, prog, argument,
+                                                         choices):
+        """The words are those of a plain argparse parser with the same
+        choices, as this Python's argparse puts them."""
+        def last_line(parse, args):
+            with pytest.raises(SystemExit) as exited:
+                parse(args)
+            out, err = capsys.readouterr()
+            assert (exited.value.code, out) == (2, "")
+            return err.splitlines()[-1]
+
+        plain = argparse.ArgumentParser(prog=prog)
+        plain.add_argument(argument, choices=choices)
+        plain_argv = [argument, "abc"] if argument.startswith("-") else ["abc"]
+        line = last_line(main, argv)
+        assert line == last_line(plain.parse_args, plain_argv)
+        assert line.startswith(f"{prog}: error: argument {argument}: invalid choice: 'abc' ")
 
     def test_the_typed_options_listed_are_every_typed_option(self):
         (commands,) = [action.choices for action in cli._parser()._actions

@@ -1,8 +1,11 @@
 """The package imports a module on the first read of one of its names: a
 process that plans, simulates or serves never imports the renderer
-(``render`` and ``svg``), and the re-exports are the names and objects
-they have always been.  The import tests each run in a fresh interpreter."""
+(``render`` and ``svg``), a process that draws static charts imports no
+forecast pipeline (``series``, ``encoder`` and ``motion``), and the
+re-exports are the names and objects they have always been.  The import
+tests each run in a fresh interpreter."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,10 +15,15 @@ from pathlib import Path
 import pytest
 
 import plantchart
+from oracles import reference_render_frames
 from plantchart._checks import QUOTE_LIMIT
+from plantchart.motion import PLANTSCREEN, plan_for_profile
+from plantchart.svg import GALLERY_STYLES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 RENDERER = ["plantchart.render", "plantchart.svg"]
+#: The package's modules that a process drawing static charts loads.
+STATIC_CHARTS = ["plantchart", "plantchart._checks", "plantchart.render", "plantchart.svg"]
 #: Prints, as the last line, the package's modules that are loaded.
 LOADED = ("import json, sys\n"
           "print(json.dumps(sorted(m for m in sys.modules if m.startswith('plantchart'))))\n")
@@ -51,6 +59,30 @@ def test_a_service_loads_no_renderer():
                    "serve.ForecastService(motion.PLANTFORM)\n" + LOADED)
     assert "plantchart.serve" in loaded
     assert [name for name in RENDERER if name in loaded] == []
+
+
+def test_a_process_that_draws_static_charts_loads_no_pipeline():
+    """The chart is drawn, so the work is gone and not moved into the
+    first call; frames drawn from a plan afterwards are the reference's."""
+    hours, targets, current = [8, 9, 10, 11], [10, 3, 0, 6], [0, 5, 4, 0]
+    loaded, digests = fresh(
+        "import hashlib, json, sys\n"
+        "from plantchart import render, svg\n"
+        "style = svg.GALLERY_STYLES[7]\n"
+        f"svg.render_svg(render.layout({targets!r}, {hours!r}, style))\n"
+        "svg.design_space_gallery()\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('plantchart'))\n"
+        "from plantchart.motion import PLANTSCREEN, plan_for_profile\n"
+        f"plan = plan_for_profile({targets!r}, {current!r}, PLANTSCREEN)\n"
+        f"frames = svg.render_frames(plan, {hours!r}, style, fps=2.0,\n"
+        f"                           initial_positions={current!r})\n"
+        "print(json.dumps([loaded, [hashlib.sha256(f.encode()).hexdigest() for f in frames]]))\n")
+    assert loaded == STATIC_CHARTS
+    plan = plan_for_profile(targets, current, PLANTSCREEN)
+    expected = reference_render_frames(plan, hours, GALLERY_STYLES[7], fps=2.0,
+                                       initial_positions=current)
+    assert len(expected) > 1
+    assert digests == [hashlib.sha256(frame.encode()).hexdigest() for frame in expected]
 
 
 @pytest.mark.parametrize("argv, renders", [

@@ -12,6 +12,7 @@ from plantchart._checks import quote
 from plantchart.motion import (
     CAIRNFORM,
     LEAF_COUNT,
+    MAX_FRAMES,
     PLANTFORM,
     PLANTSCREEN,
     STEPS_MAX,
@@ -30,7 +31,6 @@ from plantchart.motion import (
     profile_from_json,
     transition_plan,
 )
-from plantchart.svg import MAX_FRAMES
 
 
 class TestPlanPhysical:

@@ -9,6 +9,7 @@ from oracles import glyph_extent_measure
 from plantchart import svg
 from plantchart.motion import (
     CAIRNSCREEN,
+    MAX_FRAMES,
     PLANTFORM,
     PLANTSCREEN,
     FrameTimeline,
@@ -37,7 +38,6 @@ from plantchart.svg import (
     GALLERY_HOURS,
     GALLERY_POSITIONS,
     GALLERY_STYLES,
-    MAX_FRAMES,
     design_space_gallery,
     iter_frames,
     render_frames,
@@ -335,6 +335,23 @@ class TestRenderFrames:
             source = lowfi_timeline(100.0)
         with pytest.raises(ValueError, match=message):
             iter_frames(source, HOURS10, LEAF_TWO_CURVY, **kwargs)
+
+    @pytest.mark.parametrize("initial, message", [
+        pytest.param([0, 0, 0, 0], "expected 3 initial_positions, one per hour, got 4",
+                     id="one-too-many"),
+        pytest.param([0, 0], "expected 3 initial_positions, one per hour, got 2",
+                     id="one-too-few"),
+        pytest.param([0, 0, True], "initial_positions[2] must be an int in [0, 10], got True",
+                     id="bool"),
+        pytest.param([0, 11, 0], "initial_positions[1] must be an int in [0, 10], got 11",
+                     id="past-10"),
+        pytest.param([0, 5.0, 0], "initial_positions[1] must be an int in [0, 10], got 5.0",
+                     id="float"),
+    ])
+    def test_bad_initial_positions_are_refused_before_the_first_frame(self, initial, message):
+        plan = plan_for_profile([10] * 3, [0] * 3, PLANTSCREEN)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            iter_frames(plan, HOURS10[:3], BAR_ONE_STRAIGHT, initial_positions=initial)
 
     @pytest.mark.parametrize("source", [
         plan_for_profile([0] * 3, [0] * 3, PLANTFORM),
