@@ -7,7 +7,11 @@ The names below are re-exported from the module that owns each one, and
 each owner is imported on the first read of one of its names (PEP 562).
 A process that only plans and simulates, such as ``plantchart serve``,
 then never imports ``render`` and ``svg``, which cuts its start-up by
-about a quarter.  A name read once is kept in this module, so later
+about a quarter.  A process that draws static charts from positions it
+is given never imports the forecast pipeline (``series``, ``encoder``
+and ``motion``): ``render`` and ``svg`` take their ranges from
+``_checks``, and ``svg`` imports ``motion`` only to draw frames.  A name
+read once is kept in this module, so later
 reads are plain attribute lookups.  ``from plantchart import *`` binds
 every name of :data:`__all__`, the five modules included."""
 

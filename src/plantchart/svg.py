@@ -291,7 +291,7 @@ def _plan_extents(plan, leaves, fps, initial_positions):
                 else:
                     frac = (t - cmd.start_time) / cmd.duration if cmd.duration else 1.0
                     pos = cmd.source + (cmd.target - cmd.source) * frac
-            row.append(pos / POSITION_MAX)
+            row.append(pos / 10)
         rows.append(row)
     return rows
 
