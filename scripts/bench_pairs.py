@@ -18,24 +18,45 @@ quartile spread.  A gain is claimed only over :data:`PAIRS` pairs or more,
 when the change wins at least 9 pairs in 10 and its median is better by more
 than that spread.  The report also says whether both sides printed the same
 ``exact:`` line on every seed.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload serve-plantform --interleave
+
+With ``--interleave`` both exports run in this one process instead, pass by
+pass.  Each export's ``perfbench/workloads.py`` is loaded against that
+export's ``src/plantchart``, and before each of a side's passes that side's
+``plantchart`` modules and its ``workloads``, ``gen`` and ``spans`` are put
+in ``sys.modules``, where the package's lazy imports find them.  Pair ``k``
+runs deck ``(seed, k)`` on both sides, the parent first in even pairs and
+the change first in odd ones, after one unrecorded warm-up pair.  Both
+sides' ``exact`` and ``outcome`` must agree on every pass, or nothing is
+reported.  The report gives the paired op-p50 ratio, change over parent,
+with its median and quartiles and the pairs the change won.  It reports op
+times only: ``setup_s`` and ``peak_rss_mb`` need a process per side.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 #: Pairs of runs per comparison, and the fewest that a claim rests on.
 PAIRS = 10
+#: Pairs of passes of an interleaved comparison, unless ``--passes`` says.
+INTERLEAVED_PAIRS = 20
+#: The benchmark's own modules, besides the package's, that a side loads.
+BENCH_MODULES = ("workloads", "gen", "spans")
 
 
 def load_suite(root: Path):
@@ -83,17 +104,137 @@ def export(rev: str, into: Path) -> Path:
     return into
 
 
+def _side_module(name: str) -> bool:
+    return name in BENCH_MODULES or name == "plantchart" or name.startswith("plantchart.")
+
+
+def _take_side_modules() -> dict:
+    """Remove the package's and the benchmark's modules from ``sys.modules``
+    and return them."""
+    return {name: sys.modules.pop(name) for name in [n for n in sys.modules if _side_module(n)]}
+
+
+class Side:
+    """One tree's workload, loaded from its own ``perfbench/workloads.py``
+    and ``src/plantchart`` as modules of their own."""
+
+    def __init__(self, root: Path, workload: str, workdir: Path, tag: str):
+        sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+        try:
+            wl = importlib.import_module("workloads")
+        finally:
+            del sys.path[:2]
+        self.modules = _take_side_modules()
+        if workload not in wl.WORKLOADS:
+            raise SystemExit(f"unknown workload {workload!r}; choose from {', '.join(wl.WORKLOADS)}")
+        self.workload = wl.WORKLOADS[workload](workdir, tag)
+
+    def run_pass(self, seed: int, variant: int):
+        """One untraced pass over deck ``(seed, variant)``, with this side's
+        modules, and only its, in ``sys.modules``."""
+        _take_side_modules()
+        sys.modules.update(self.modules)
+        try:
+            result = self.workload.run_pass(self.workload.deck(seed, variant), None)
+        finally:
+            self.modules.update(_take_side_modules())  # any module a call imported
+        return result
+
+
+def op_p50_ns(result) -> int:
+    """The pass's median op time by ``run.py``'s nearest-rank rule, refused
+    ops left out."""
+    ops = sorted(t for t, refused in zip(result.op_ns, result.refused) if not refused)
+    return ops[max(0, math.ceil(len(ops) / 2) - 1)]
+
+
+class Interleaved(NamedTuple):
+    parent_ns: list[int]  # op p50 of each recorded pass
+    change_ns: list[int]
+    ratio: tuple[float, float, float]  # change over parent, paired: q1, median, q3
+    wins: int
+    modules: tuple[dict, dict]  # each side's modules, by name
+
+
+def interleave(parent: Path, change: Path, workload: str, seed: int = 1,
+               pairs: int = INTERLEAVED_PAIRS) -> Interleaved:
+    """``pairs`` pairs of passes of ``workload``, the trees ``parent`` and
+    ``change`` alternating in this process, after one warm-up pair.
+    Raises ``ValueError`` when the two sides' ``exact`` or ``outcome``
+    differ on a pass.  ``sys.modules`` and ``sys.path`` are as they were
+    afterwards."""
+    saved, path = _take_side_modules(), sys.path[:]
+    try:
+        with tempfile.TemporaryDirectory(prefix="bench-interleave-") as tmp:
+            sides = (Side(parent, workload, Path(tmp), "parent"),
+                     Side(change, workload, Path(tmp), "change"))
+            try:
+                times = ([], [])
+                for k in range(-1, pairs):
+                    order = (0, 1) if k % 2 == 0 else (1, 0)
+                    results = [None, None]
+                    for i in order:
+                        results[i] = sides[i].run_pass(seed, max(k, 0))
+                    a, b = results
+                    if (a.exact, a.outcome) != (b.exact, b.outcome):
+                        raise ValueError(f"pass {k}: the sides disagree: exact {a.exact} != "
+                                         f"{b.exact} or outcome {a.outcome} != {b.outcome}")
+                    if k >= 0:
+                        times[0].append(op_p50_ns(a))
+                        times[1].append(op_p50_ns(b))
+            finally:
+                for side in sides:
+                    side.workload.cleanup()
+    finally:
+        _take_side_modules()
+        sys.modules.update(saved)
+        sys.path[:] = path
+    ratios = [c / p for p, c in zip(*times)]
+    q = quartiles(ratios)
+    return Interleaved(times[0], times[1], (q["q1"], q["median"], q["q3"]),
+                       sum(r < 1 for r in ratios), (sides[0].modules, sides[1].modules))
+
+
+def main_interleaved(args, parent: Path, change: Path) -> int:
+    try:
+        run = interleave(parent, change, args.workload, args.seed, args.passes)
+    except ValueError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 1
+    q1, median, q3 = run.ratio
+    pairs = len(run.parent_ns)
+    p, c = quartiles(run.parent_ns), quartiles(run.change_ns)
+    print(f"{args.workload}: {pairs} interleaved pairs of passes, seed {args.seed}, "
+          f"{args.parent} -> {args.change}")
+    print(f"  op_p50_ms    parent {p['median'] / 1e6:.6g} [{p['q1'] / 1e6:.6g}, "
+          f"{p['q3'] / 1e6:.6g}]  change {c['median'] / 1e6:.6g} [{c['q1'] / 1e6:.6g}, "
+          f"{c['q3'] / 1e6:.6g}]  unscaled")
+    print(f"  paired ratio change/parent: median {median:.4f} [{q1:.4f}, {q3:.4f}]  "
+          f"{100 * (median - 1):+.1f} %  wins {run.wins}/{pairs}")
+    print("  exact and outcome equal on every pass: yes")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--workload", required=True)
+    parser.add_argument("--interleave", action="store_true",
+                        help="alternate the two revisions pass by pass in this process")
+    parser.add_argument("--passes", type=int, default=INTERLEAVED_PAIRS,
+                        help="pairs of passes with --interleave")
+    parser.add_argument("--seed", type=int, default=1, help="deck seed with --interleave")
     args = parser.parse_args(argv)
 
     os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        suites = {side: load_suite(export(rev, Path(tmp, side)))
-                  for side, rev in (("parent", args.parent), ("change", args.change))}
+        roots = {side: export(rev, Path(tmp, side))
+                 for side, rev in (("parent", args.parent), ("change", args.change))}
+        if args.interleave:
+            sys.dont_write_bytecode = True
+            return main_interleaved(args, roots["parent"], roots["change"])
+        suites = {side: load_suite(root) for side, root in roots.items()}
         bench = json.loads(Path(tmp, "parent", "BENCHMARK.json").read_text(encoding="utf-8"))
         seconds = bench["run_seconds"]
         results = {"parent": [], "change": []}

@@ -9,12 +9,20 @@ a value of another type may raise ``TypeError``.
 
 The checks run per sample, per command and per frame row, so the number
 test of :func:`is_number` is spelt out where it is needed, not called.
+Where a value is almost always a plain in-range number, a combined fast
+test stands in for the calls: :class:`.motion.MotionPlan` tests each
+command's five values, and :func:`.encoder.encode_relative` its rate and
+peak, for exact ``int``/``float`` types inside their ranges.  The fast
+test only passes what the checks pass; a value that fails it always
+reaches the worded checks, in their order, so every refusal keeps its
+type and its text.
 
-This module also owns the two ranges that several layers check, so that
-a layer can check them without importing the layer that uses them: a
-leaf position is in ``POSITION_MIN..POSITION_MAX``, and a chart or a
-forecast holds ``MIN_SAMPLES..MAX_SAMPLES`` hours.  ``encoder`` and
-``series`` re-export them under the same names."""
+This module also owns the three ranges that several layers check, so
+that a layer can check them without importing the layer that uses them:
+a leaf position is in ``POSITION_MIN..POSITION_MAX``, a chart or a
+forecast holds ``MIN_SAMPLES..MAX_SAMPLES`` hours, and an hour of the
+working day is in ``FIRST_HOUR..LAST_HOUR``.  ``encoder`` and ``series``
+re-export them under the same names."""
 
 import math
 
@@ -27,6 +35,10 @@ POSITION_MAX = 10
 #: The hours a chart displays and a forecast holds.
 MIN_SAMPLES = 3
 MAX_SAMPLES = 10
+#: The clock hours of a working day: 8:00 to 17:59, and one evening slot
+#: (18:59) that a chart may show.
+FIRST_HOUR = 8
+LAST_HOUR = 18
 
 
 def quote(value: object) -> str:

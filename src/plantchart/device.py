@@ -56,15 +56,17 @@ from __future__ import annotations
 import json
 import marshal
 import math
-from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat, starmap
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import _checks
-from .encoder import POSITION_MAX, POSITION_MIN, LeafPosition
+from ._checks import POSITION_MAX, POSITION_MIN
 from .motion import LEAF_COUNT, DeviceProfile, MotionCommand, MotionPlan
+
+if TYPE_CHECKING:
+    from .encoder import LeafPosition
 
 MOTOR_BOARDS = 5
 LED_BOARD = 5
@@ -490,8 +492,11 @@ def _advance(
             n = int(min(_WINDOW, max(0.0, horizon / dt))) + 2
         clocks = list(accumulate(repeat(dt, n), initial=clock))
         if dispatched < queued:
-            n = bisect_right(clocks, pending[dispatched][0], 2, n + 1,
-                             key=_due_before) - 1
+            # The guess is a tick or two past the next dispatch: step back
+            # to the last tick that ends before it is due.
+            due = pending[dispatched][0]
+            while n > 1 and due < clocks[n] - _EPS:
+                n -= 1
 
         marks = []  # (tick, leaf, kind): 0 stop sensor, 1 target reached, 2 relay off
         quiet = 1  # ticks after which no leaf moves
@@ -549,7 +554,10 @@ def _advance(
                 powered = [False] * MOTOR_BOARDS
                 marks.append((quiet - 1, len(current), 2))
             if duration is not None:
-                n = min(n, bisect_left(clocks, duration, quiet, n + 1, key=elapsed))
+                # End at the first tick from ``quiet`` on at which
+                # ``duration`` has elapsed, if the window holds one.
+                while n > quiet and elapsed(clocks[n - 1]) >= duration:
+                    n -= 1
         if clocks[n - 1] - start > deadline:
             raise SimulationError("plan failed to complete in simulated time")
 

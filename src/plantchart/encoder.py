@@ -71,12 +71,9 @@ class FlatVariationError(EncodingDomainError):
 def encode_relative(rate: Rate, peak_rate: Rate) -> LeafPosition:
     """Encode a rate in ``[0, peak_rate]`` relative to the finite peak rate
     of its variation."""
-    if peak_rate <= 0.0:
-        raise FlatVariationError("peak rate is zero; flat variations cannot be peak-normalized")
-    _checks.finite("peak rate", peak_rate)
-    if rate > peak_rate:
-        raise ValueError(f"rate {rate} exceeds peak rate {peak_rate}")
-    _checks.within("rate", (rate,), 0.0, peak_rate)
+    if not (type(rate) is float and type(peak_rate) is float
+            and 0.0 <= rate <= peak_rate < math.inf and peak_rate > 0.0):
+        _check_relative(rate, peak_rate)
     # The ratio is in [0, 1], so one of the bins takes it.
     ratio = rate / peak_rate
     if abs(ratio - 1.0) <= PEAK_RATIO_TOLERANCE:
@@ -84,6 +81,16 @@ def encode_relative(rate: Rate, peak_rate: Rate) -> LeafPosition:
     for upper, position in _RELATIVE_BINS:
         if ratio <= upper:
             return position
+
+
+def _check_relative(rate: Rate, peak_rate: Rate) -> None:
+    """The worded checks of :func:`encode_relative`'s values, in order."""
+    if peak_rate <= 0.0:
+        raise FlatVariationError("peak rate is zero; flat variations cannot be peak-normalized")
+    _checks.finite("peak rate", peak_rate)
+    if rate > peak_rate:
+        raise ValueError(f"rate {rate} exceeds peak rate {peak_rate}")
+    _checks.within("rate", (rate,), 0.0, peak_rate)
 
 
 def encode_absolute(rate: Rate) -> LeafPosition:

@@ -22,10 +22,13 @@ import json
 import math
 import random
 from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 from . import _checks
-from .encoder import POSITION_MAX, POSITION_MIN, LeafPosition
-from .series import FIRST_HOUR
+from ._checks import FIRST_HOUR, POSITION_MAX, POSITION_MIN
+
+if TYPE_CHECKING:
+    from .encoder import LeafPosition
 
 LEAF_COUNT = 10
 #: The last hour a device leaf shows; a later hour maps past the last leaf.
@@ -121,21 +124,20 @@ class MotionPlan:
         previous = None
         per_leaf_end: dict[int, float] = {}
         for index, cmd in enumerate(self.commands):
-            try:  # the message names the command only once a check fails
-                _checks.an_int("leaf", cmd.leaf)
-                _checks.number_in("source", cmd.source, POSITION_MIN, POSITION_MAX)
-                _checks.number_in("target", cmd.target, POSITION_MIN, POSITION_MAX)
-                _checks.finite("start_time", cmd.start_time)
-                _checks.non_negative("duration", cmd.duration)
-            except ValueError as exc:
-                leaf = f" (leaf {cmd.leaf})" if _checks.is_int(cmd.leaf) else ""
-                raise ValueError(f"command {index}{leaf}: {exc}") from None
-            if previous is not None and cmd.start_time < previous:
+            leaf, source, target, start, duration = (cmd.leaf, cmd.source, cmd.target,
+                                                     cmd.start_time, cmd.duration)
+            if not (type(leaf) is int and type(source) in _PLAIN and type(target) in _PLAIN
+                    and type(start) is float and type(duration) is float
+                    and POSITION_MIN <= source <= POSITION_MAX
+                    and POSITION_MIN <= target <= POSITION_MAX
+                    and -math.inf < start < math.inf and 0.0 <= duration < math.inf):
+                _check_command(index, cmd)
+            if previous is not None and start < previous:
                 raise ValueError("commands must be sorted by start_time")
-            previous = cmd.start_time
-            if cmd.start_time < per_leaf_end.get(cmd.leaf, 0.0) - 1e-9:
-                raise ValueError(f"overlapping commands for leaf {cmd.leaf}")
-            per_leaf_end[cmd.leaf] = cmd.start_time + cmd.duration
+            previous = start
+            if start < per_leaf_end.get(leaf, 0.0) - 1e-9:
+                raise ValueError(f"overlapping commands for leaf {leaf}")
+            per_leaf_end[leaf] = start + duration
         expected = max((c.start_time + c.duration for c in self.commands), default=0.0)
         if abs(self.total_duration - expected) > 1e-9:
             raise ValueError(
@@ -145,6 +147,25 @@ class MotionPlan:
     @property
     def targets(self) -> dict[int, LeafPosition]:
         return {cmd.leaf: cmd.target for cmd in self.commands}
+
+
+#: The exact types that :class:`MotionPlan`'s combined test passes as a
+#: position; any other value goes through the worded checks.
+_PLAIN = (int, float)
+
+
+def _check_command(index: int, cmd: MotionCommand) -> None:
+    """The worded checks of one command's values, in order; the message
+    names the command and, when it is an int, its leaf."""
+    try:
+        _checks.an_int("leaf", cmd.leaf)
+        _checks.number_in("source", cmd.source, POSITION_MIN, POSITION_MAX)
+        _checks.number_in("target", cmd.target, POSITION_MIN, POSITION_MAX)
+        _checks.finite("start_time", cmd.start_time)
+        _checks.non_negative("duration", cmd.duration)
+    except ValueError as exc:
+        leaf = f" (leaf {cmd.leaf})" if _checks.is_int(cmd.leaf) else ""
+        raise ValueError(f"command {index}{leaf}: {exc}") from None
 
 
 def _check_vectors(targets, current, leaf_indices) -> list[int]:

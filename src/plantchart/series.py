@@ -21,16 +21,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _checks
-from ._checks import MAX_SAMPLES, MIN_SAMPLES, quote
+from ._checks import FIRST_HOUR, LAST_HOUR, MAX_SAMPLES, MIN_SAMPLES, quote
 
 # Rates are dimensionless fractions of the maximum availability.
 Rate = float
-# Clock hour of the displayed day.  The standard working day runs from
-# 8:00 to 17:59; charts may extend one evening slot further (18:59).
+# Clock hour of the displayed day, ``FIRST_HOUR..LAST_HOUR``.  The standard
+# working day runs from 8:00 to 17:59; charts may extend one evening slot
+# further (18:59).
 HourSlot = int
-
-FIRST_HOUR = 8
-LAST_HOUR = 18
 
 
 class ForecastDocumentError(ValueError):

@@ -9,7 +9,11 @@ payloads are rejected and the service stays up.
 
 The feed tails a newline-delimited document file, one forecast per line.
 It stays decoupled from the simulator: payloads are polled one at a time
-and the controller state only advances in the service loop.
+and the controller state only advances in the service loop.  A poll with
+no line in hand refills: one open and one read of at most
+:data:`FEED_CHUNK` bytes take every complete line that is there, and
+later polls hand those lines out from memory.  A line longer than the
+chunk is still read whole.
 
 :func:`plan_variation` is the one forecast-to-plan step, shared with the
 CLI.  Hours map to device leaves by :func:`.motion.leaf_for_hour` alone.
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import _checks, device
@@ -40,6 +45,8 @@ from .series import (
 )
 
 POLL_QUANTUM = 0.02  # seconds between two reads of an idle feed
+#: Most bytes one refill of a :class:`FileFeed` reads, unless a line is longer.
+FEED_CHUNK = 1 << 16
 #: Most rejection reasons a :class:`ForecastService` keeps, the latest ones.
 REJECTIONS_KEPT = 1000
 
@@ -50,11 +57,20 @@ class FeedClosed(Exception):
 
 class FileFeed:
     """Tails a newline-delimited payload file; one forecast document per
-    line (JSON) so payload boundaries are unambiguous."""
+    line (JSON) so payload boundaries are unambiguous.
+
+    The file is only appended to.  A poll hands out the next line of the
+    last refill; when none is left, it refills: it reads at most
+    :data:`FEED_CHUNK` bytes from the end of the last complete line, and
+    takes the complete lines among them.  A line longer than the chunk is
+    read on, up to its end.  An incomplete last line is left in the file
+    for a later refill, so the feed holds at most one chunk, or one line
+    longer than that."""
 
     def __init__(self, path):
         self.path = path
         self._offset = 0
+        self._lines = iter(())
 
     def poll(self, timeout: float = 0.0) -> bytes | None:
         deadline = time.monotonic() + timeout
@@ -70,19 +86,26 @@ class FileFeed:
         """The next non-blank complete line, skipping blank ones.  Lines are
         bytes, so that one that is not UTF-8 reaches :func:`load_series`,
         which rejects it, and the lines after it are still read."""
+        line = next(self._lines, None)
+        if line is None:
+            self._lines = self._refill()
+            line = next(self._lines, None)
+        return line
+
+    def _refill(self) -> Iterator[bytes]:
+        """The non-blank complete lines from the offset on, stripped, and
+        the offset moved past them."""
         try:
             with open(self.path, "rb") as handle:
                 handle.seek(self._offset)
-                while True:
-                    line = handle.readline()
-                    if not line.endswith(b"\n"):
-                        return None  # incomplete write; retry later
-                    self._offset = handle.tell()
-                    stripped = line.strip()
-                    if stripped:
-                        return stripped
+                data = handle.read(FEED_CHUNK)
+                if len(data) == FEED_CHUNK and b"\n" not in data:
+                    data += handle.readline()  # a line longer than the chunk
         except FileNotFoundError:
-            return None
+            return iter(())
+        end = data.rfind(b"\n") + 1  # an incomplete write waits for a later refill
+        self._offset += end
+        return filter(None, map(bytes.strip, data[:end].split(b"\n")))
 
 
 def device_targets(series: ForecastSeries, positions: list[int]) -> list[int]:

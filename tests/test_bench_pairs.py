@@ -1,14 +1,26 @@
-"""The summary arithmetic of ``scripts/bench_pairs.py`` on fixed numbers."""
+"""The summary arithmetic of ``scripts/bench_pairs.py`` on fixed numbers,
+and its interleaved run on the working tree against itself."""
 
 import importlib.util
+import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+import plantchart.svg
+
+ROOT = Path(__file__).resolve().parents[1]
+_PATH = ROOT / "scripts" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
+
+def side_modules() -> dict:
+    """The package's and the benchmark's modules now in ``sys.modules``."""
+    return {name: module for name, module in sys.modules.items()
+            if bench_pairs._side_module(name)}
+
 
 PARENT = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
 
@@ -54,3 +66,35 @@ def test_fewer_pairs_than_the_protocol_are_not_claimed():
     assert few["wins"] == 3 and few["beyond_spread"] and not few["claim"]
     one = bench_pairs.summarize([5.0], [1.0], "lower")
     assert one["wins"] == 1 and one["beyond_spread"] and not one["claim"]
+
+
+def test_the_tree_interleaved_with_itself_agrees_and_reads_a_ratio_near_one():
+    before = side_modules()
+    run = bench_pairs.interleave(ROOT, ROOT, "charts-gallery", seed=2, pairs=3)
+    assert len(run.parent_ns) == len(run.change_ns) == 3
+    q1, median, q3 = run.ratio
+    assert q1 <= median <= q3 and 0.7 < median < 1 / 0.7
+    assert 0 <= run.wins <= 3
+    # Each side ran modules of its own, and the test's are back in place.
+    parent, change = run.modules
+    assert parent["plantchart.svg"] is not change["plantchart.svg"]
+    assert plantchart.svg not in (parent["plantchart.svg"], change["plantchart.svg"])
+    assert {"workloads", "gen", "spans", "plantchart.motion"} <= set(parent) & set(change)
+    assert sys.modules["plantchart.svg"] is plantchart.svg
+    assert side_modules() == before
+
+
+def test_sides_whose_outcomes_differ_are_refused(tmp_path):
+    other = tmp_path / "other"
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, other / part,
+                        ignore=shutil.ignore_patterns("__pycache__", "results", "tests"))
+    workloads = other / "perfbench" / "workloads.py"
+    text = workloads.read_text(encoding="utf-8")
+    assert text.count('"refused": 0, "points": 0}') == 1
+    workloads.write_text(text.replace('"refused": 0, "points": 0}', '"refused": 0, "points": 1}'),
+                         encoding="utf-8")
+    before = side_modules()
+    with pytest.raises(ValueError, match="the sides disagree"):
+        bench_pairs.interleave(ROOT, other, "charts-gallery", pairs=1)
+    assert side_modules() == before
