@@ -46,6 +46,7 @@ NO_TEST = (4, 5)
 
 DEVICE = "src/plantchart/device.py"
 MOTION = "src/plantchart/motion.py"
+ENCODER = "src/plantchart/encoder.py"
 SERIES = "src/plantchart/series.py"
 SERVE = "src/plantchart/serve.py"
 RENDER = "src/plantchart/render.py"
@@ -89,6 +90,14 @@ MUTANTS = (
     # Dispatch, checks and the event log.
     Mutant("dispatch-without-epsilon", DEVICE,
            "return new_clock - _EPS", "return new_clock", DAY_DIGESTS),
+    Mutant("dispatch-scan-stops-a-tick-early", DEVICE,
+           "while n > 1 and due < clocks[n] - _EPS:",
+           "while n > 1 and due < clocks[n - 1] - _EPS:",
+           "tests/test_simulator_reference.py::test_dispatch_times_near_tick_boundaries[0.01-0.0]"),
+    Mutant("end-scan-stops-a-tick-early", DEVICE,
+           "while n > quiet and elapsed(clocks[n - 1]) >= duration:",
+           "while n > quiet and elapsed(clocks[n - 2]) >= duration:",
+           "tests/test_simulator_reference.py::test_tick_by_tick_matches_run_plan[0.01]"),
     Mutant("full-range-max-plus-one", DEVICE,
            "steps, 1, STEPS_FULL_RANGE_MAX)", "steps, 1, STEPS_FULL_RANGE_MAX + 1)",
            "tests/test_simulator_reference.py::test_every_set_target_logged_encodes_as_a_frame"),
@@ -119,6 +128,17 @@ MUTANTS = (
            "    return isinstance(value, (int, float))",
            "tests/test_encoder.py::TestPositionRateInterval::"
            "test_a_bool_is_not_a_position[False-EncodingMode.PEAK_RELATIVE]"),
+    # The combined fast tests, which must pass only what the worded checks pass.
+    Mutant("fast-plan-test-takes-a-bool-leaf", MOTION,
+           "type(leaf) is int", "isinstance(leaf, int)",
+           "tests/test_fast_paths.py::test_a_plan_is_checked_as_every_worded_check_did"),
+    Mutant("fast-plan-test-takes-a-bool-position", MOTION,
+           "type(source) in _PLAIN", "isinstance(source, _PLAIN)",
+           "tests/test_fast_paths.py::test_a_plan_is_checked_as_every_worded_check_did"),
+    Mutant("fast-rate-test-takes-a-bool-rate", ENCODER,
+           "type(rate) is float", "isinstance(rate, (int, float))",
+           "tests/test_fast_paths.py::"
+           "test_a_rate_is_encoded_and_refused_as_every_worded_check_did"),
     # The reset rule, the profile reader, the hour-to-leaf rule, the
     # document readers and the feed loop.
     Mutant("transition-wipes-a-furled-device", MOTION,
@@ -161,13 +181,19 @@ MUTANTS = (
            SHORT_BAD_VALUE + "[json-sample-not-an-object]"),
     Mutant("json-sample-hour-unchecked", SERIES, 'if "hour" not in sample:', "if False:",
            SHORT_BAD_VALUE + "[json-sample-without-hour]"),
+    Mutant("feed-refill-takes-an-incomplete-line", SERVE,
+           "self._offset += end", "self._offset += len(data)",
+           "tests/test_fast_paths.py::test_an_incomplete_line_is_read_again_once_complete"),
+    Mutant("feed-refill-stops-at-blank-lines", SERVE,
+           "if self._offset == offset:  # no complete line yet", "if True:",
+           "tests/test_fast_paths.py::test_the_feed_delivers_what_the_per_poll_feed_delivers"),
     Mutant("service-polls-a-closed-feed", SERVE,
            "except FeedClosed:\n            break", "except FeedClosed:\n            continue",
            "tests/test_serve.py::TestFeeds::test_run_service_returns_when_the_feed_closes"),
     Mutant("hour-past-17-not-refused", SERVE, "elif position != 0:", "elif False:",
            "tests/test_cli.py::TestSimulate::test_raised_leaf_at_18_exits_3_with_one_line[plan]"),
-    # What a process imports: the renderer only where it draws, and no
-    # forecast pipeline where it draws static charts.
+    # What a process imports: the renderer only where it draws, no forecast
+    # pipeline where it draws static charts, and no reader where it plans.
     Mutant("package-imports-svg-eagerly", PACKAGE,
            "from . import _checks\n", "from . import _checks, svg\n",
            "tests/test_lazy_imports.py::test_a_service_loads_no_renderer"),
@@ -186,6 +212,10 @@ MUTANTS = (
            "from ._checks import POSITION_MAX, POSITION_MIN\n"
            "from .motion import MAX_FRAMES, FrameTimeline, MotionPlan, leaf_for_hour\n",
            STATIC_CHARTS),
+    Mutant("motion-imports-the-forecast-reader", MOTION,
+           "from ._checks import FIRST_HOUR, POSITION_MAX, POSITION_MIN\n",
+           "from ._checks import POSITION_MAX, POSITION_MIN\nfrom .series import FIRST_HOUR\n",
+           "tests/test_lazy_imports.py::test_the_planner_loads_no_forecast_reader_or_encoder"),
     # Layout and SVG: tables, caches and the checks of a frameless source.
     Mutant("trunk-memo-untyped", RENDER,
            "lru_cache(maxsize=TRUNK_MEMO_SIZE, typed=True)",

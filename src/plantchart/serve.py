@@ -87,9 +87,12 @@ class FileFeed:
         bytes, so that one that is not UTF-8 reaches :func:`load_series`,
         which rejects it, and the lines after it are still read."""
         line = next(self._lines, None)
-        if line is None:
+        while line is None:  # a refill that took blank lines alone reads on
+            offset = self._offset
             self._lines = self._refill()
             line = next(self._lines, None)
+            if self._offset == offset:  # no complete line yet
+                break
         return line
 
     def _refill(self) -> Iterator[bytes]:

@@ -17,6 +17,12 @@ tuples and mirrors every path of a left-hand leaf on its own, instead of
 mirroring the blade once and sharing its midrib prefix, and the ring
 oracle takes the cosine and sine of every sample's angle instead of
 reading them from a table.
+
+Three oracles keep an earlier version of the package's own code, for
+paths whose only change was speed: the feed that opens its file and reads
+one line per poll, instead of refilling from one read of every complete
+line, and the plan and peak-relative rate checks that run every worded
+check on every value, instead of one combined test first.
 """
 
 from __future__ import annotations
@@ -37,6 +43,14 @@ from plantchart.device import (
     PendingCommand,
     SimulationError,
     position_to_steps,
+)
+from plantchart import _checks
+from plantchart.encoder import (
+    _RELATIVE_BINS,
+    PEAK_RATIO_TOLERANCE,
+    POSITION_MAX,
+    POSITION_MIN,
+    FlatVariationError,
 )
 from plantchart.motion import LEAF_COUNT, FrameTimeline, Modality, MotionCommand, MotionPlan
 from plantchart.protocol import Frame, Opcode, decode_frame, encode_frame
@@ -556,3 +570,74 @@ def glyph_extent_measure(scene: ChartScene, glyph: Glyph) -> float:
         return max(xs) - min(xs)
     ax = scene.anchors[glyph.anchor_index].point[0]
     return max(abs(x - ax) for x, _ in primary.points)
+
+
+class ReferenceFileFeed:
+    """The payloads :class:`plantchart.serve.FileFeed` must deliver, polled
+    with no timeout: each poll opens the file, seeks to the end of the
+    last line taken and reads a line at a time, skipping blank ones, up to
+    the first non-blank complete line, stripped; an incomplete line is
+    left for a later poll."""
+
+    def __init__(self, path):
+        self.path = path
+        self._offset = 0
+
+    def poll(self) -> bytes | None:
+        try:
+            with open(self.path, "rb") as handle:
+                handle.seek(self._offset)
+                while True:
+                    line = handle.readline()
+                    if not line.endswith(b"\n"):
+                        return None
+                    self._offset = handle.tell()
+                    stripped = line.strip()
+                    if stripped:
+                        return stripped
+        except FileNotFoundError:
+            return None
+
+
+def reference_check_plan(commands, total_duration) -> None:
+    """The checks :class:`plantchart.motion.MotionPlan` must make, every
+    worded check on every value of every command, in order."""
+    _checks.finite("total_duration", total_duration)
+    previous = None
+    per_leaf_end: dict[int, float] = {}
+    for index, cmd in enumerate(commands):
+        try:
+            _checks.an_int("leaf", cmd.leaf)
+            _checks.number_in("source", cmd.source, POSITION_MIN, POSITION_MAX)
+            _checks.number_in("target", cmd.target, POSITION_MIN, POSITION_MAX)
+            _checks.finite("start_time", cmd.start_time)
+            _checks.non_negative("duration", cmd.duration)
+        except ValueError as exc:
+            leaf = f" (leaf {cmd.leaf})" if _checks.is_int(cmd.leaf) else ""
+            raise ValueError(f"command {index}{leaf}: {exc}") from None
+        if previous is not None and cmd.start_time < previous:
+            raise ValueError("commands must be sorted by start_time")
+        previous = cmd.start_time
+        if cmd.start_time < per_leaf_end.get(cmd.leaf, 0.0) - 1e-9:
+            raise ValueError(f"overlapping commands for leaf {cmd.leaf}")
+        per_leaf_end[cmd.leaf] = cmd.start_time + cmd.duration
+    expected = max((c.start_time + c.duration for c in commands), default=0.0)
+    if abs(total_duration - expected) > 1e-9:
+        raise ValueError(f"total_duration {total_duration} != last command end {expected}")
+
+
+def reference_encode_relative(rate, peak_rate) -> int:
+    """What :func:`plantchart.encoder.encode_relative` must return or raise,
+    with every worded check made first."""
+    if peak_rate <= 0.0:
+        raise FlatVariationError("peak rate is zero; flat variations cannot be peak-normalized")
+    _checks.finite("peak rate", peak_rate)
+    if rate > peak_rate:
+        raise ValueError(f"rate {rate} exceeds peak rate {peak_rate}")
+    _checks.within("rate", (rate,), 0.0, peak_rate)
+    ratio = rate / peak_rate
+    if abs(ratio - 1.0) <= PEAK_RATIO_TOLERANCE:
+        return POSITION_MAX
+    for upper, position in _RELATIVE_BINS:
+        if ratio <= upper:
+            return position

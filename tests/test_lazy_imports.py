@@ -1,7 +1,8 @@
 """The package imports a module on the first read of one of its names: a
 process that plans, simulates or serves never imports the renderer
 (``render`` and ``svg``), a process that draws static charts imports no
-forecast pipeline (``series``, ``encoder`` and ``motion``), and the
+forecast pipeline (``series``, ``encoder`` and ``motion``), a process that
+only plans loads no ``series`` or ``encoder``, and the
 re-exports are the names and objects they have always been.  The import
 tests each run in a fresh interpreter."""
 
@@ -59,6 +60,18 @@ def test_a_service_loads_no_renderer():
                    "serve.ForecastService(motion.PLANTFORM)\n" + LOADED)
     assert "plantchart.serve" in loaded
     assert [name for name in RENDERER if name in loaded] == []
+
+
+def test_the_planner_loads_no_forecast_reader_or_encoder():
+    """``motion`` takes its ranges from ``_checks``, so a process that plans
+    or draws frames from positions it is given loads no ``series`` and no
+    ``encoder``; ``series`` still has the hour range, as the same objects."""
+    loaded = fresh("from plantchart.motion import PLANTSCREEN\n" + LOADED)
+    assert loaded == ["plantchart", "plantchart._checks", "plantchart.motion"]
+    from plantchart import _checks, motion, series
+    hours = (_checks.FIRST_HOUR, _checks.LAST_HOUR)
+    assert (series.FIRST_HOUR, series.LAST_HOUR) == hours == (8, 18)
+    assert motion.FIRST_HOUR is _checks.FIRST_HOUR
 
 
 def test_a_process_that_draws_static_charts_loads_no_pipeline():
