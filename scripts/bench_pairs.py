@@ -25,9 +25,10 @@ With ``--interleave`` both exports run in this one process instead, pass by
 pass.  Each export's ``perfbench/workloads.py`` is loaded against that
 export's ``src/plantchart``, and before each of a side's passes that side's
 ``plantchart`` modules and its ``workloads``, ``gen`` and ``spans`` are put
-in ``sys.modules``, where the package's lazy imports find them.  Pair ``k``
-runs deck ``(seed, k)`` on both sides, the parent first in even pairs and
-the change first in odd ones, after one unrecorded warm-up pair.  Both
+in ``sys.modules``, where the package's lazy imports find them.  There are
+:data:`INTERLEAVED_PAIRS` pairs of passes.  Pair ``k`` runs the deck of seed 1
+and variant ``k`` on both sides, the parent first in even pairs and the
+change first in odd ones, after one unrecorded warm-up pair.  Both
 sides' ``exact`` and ``outcome`` must agree on every pass, or nothing is
 reported.  The report gives the paired op-p50 ratio, change over parent,
 with its median and quartiles and the pairs the change won.  It reports op
@@ -53,7 +54,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 #: Pairs of runs per comparison, and the fewest that a claim rests on.
 PAIRS = 10
-#: Pairs of passes of an interleaved comparison, unless ``--passes`` says.
+#: Pairs of passes of an interleaved comparison.
 INTERLEAVED_PAIRS = 20
 #: The benchmark's own modules, besides the package's, that a side loads.
 BENCH_MODULES = ("workloads", "gen", "spans")
@@ -126,7 +127,8 @@ class Side:
             del sys.path[:2]
         self.modules = _take_side_modules()
         if workload not in wl.WORKLOADS:
-            raise SystemExit(f"unknown workload {workload!r}; choose from {', '.join(wl.WORKLOADS)}")
+            raise SystemExit(f"unknown workload {workload!r}; "
+                             f"choose from {', '.join(wl.WORKLOADS)}")
         self.workload = wl.WORKLOADS[workload](workdir, tag)
 
     def run_pass(self, seed: int, variant: int):
@@ -197,14 +199,14 @@ def interleave(parent: Path, change: Path, workload: str, seed: int = 1,
 
 def main_interleaved(args, parent: Path, change: Path) -> int:
     try:
-        run = interleave(parent, change, args.workload, args.seed, args.passes)
+        run = interleave(parent, change, args.workload)
     except ValueError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
     q1, median, q3 = run.ratio
     pairs = len(run.parent_ns)
     p, c = quartiles(run.parent_ns), quartiles(run.change_ns)
-    print(f"{args.workload}: {pairs} interleaved pairs of passes, seed {args.seed}, "
+    print(f"{args.workload}: {pairs} interleaved pairs of passes, seed 1, "
           f"{args.parent} -> {args.change}")
     print(f"  op_p50_ms    parent {p['median'] / 1e6:.6g} [{p['q1'] / 1e6:.6g}, "
           f"{p['q3'] / 1e6:.6g}]  change {c['median'] / 1e6:.6g} [{c['q1'] / 1e6:.6g}, "
@@ -222,9 +224,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--interleave", action="store_true",
                         help="alternate the two revisions pass by pass in this process")
-    parser.add_argument("--passes", type=int, default=INTERLEAVED_PAIRS,
-                        help="pairs of passes with --interleave")
-    parser.add_argument("--seed", type=int, default=1, help="deck seed with --interleave")
     args = parser.parse_args(argv)
 
     os.environ["PYTHONDONTWRITEBYTECODE"] = "1"

@@ -89,7 +89,9 @@ MUTANTS = (
            "tests/test_simulator_reference.py::test_an_unpowered_leaf_holds_still_on_its_way[3-9]"),
     # Dispatch, checks and the event log.
     Mutant("dispatch-without-epsilon", DEVICE,
-           "return new_clock - _EPS", "return new_clock", DAY_DIGESTS),
+           "return new_clock - _EPS", "return new_clock",
+           "tests/test_simulator_reference.py::"
+           "test_large_ticks_dispatch_several_commands_and_match[0.3]"),
     Mutant("dispatch-scan-stops-a-tick-early", DEVICE,
            "while n > 1 and due < clocks[n] - _EPS:",
            "while n > 1 and due < clocks[n - 1] - _EPS:",
@@ -186,7 +188,8 @@ MUTANTS = (
            "tests/test_fast_paths.py::test_an_incomplete_line_is_read_again_once_complete"),
     Mutant("feed-refill-stops-at-blank-lines", SERVE,
            "if self._offset == offset:  # no complete line yet", "if True:",
-           "tests/test_fast_paths.py::test_the_feed_delivers_what_the_per_poll_feed_delivers"),
+           "tests/test_fast_paths.py::"
+           "test_a_chunk_of_blank_lines_alone_is_read_past_in_the_same_poll[newlines]"),
     Mutant("service-polls-a-closed-feed", SERVE,
            "except FeedClosed:\n            break", "except FeedClosed:\n            continue",
            "tests/test_serve.py::TestFeeds::test_run_service_returns_when_the_feed_closes"),

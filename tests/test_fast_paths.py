@@ -108,6 +108,16 @@ def test_a_line_longer_than_the_chunk_is_read_whole(tmp_path, length):
     assert (feed.poll(), feed.poll()) == (line, None)
 
 
+@pytest.mark.parametrize("blank", [pytest.param(b"\n", id="newlines"),
+                                   pytest.param(b" \t\r\n", id="whitespace")])
+def test_a_chunk_of_blank_lines_alone_is_read_past_in_the_same_poll(tmp_path, blank):
+    path = tmp_path / "feed.ndjson"
+    blanks = blank * (FEED_CHUNK // len(blank) + 1)
+    path.write_bytes(blanks + b"payload\n" + blanks + b"x" * FEED_CHUNK + b"\n")
+    feed = FileFeed(path)
+    assert (feed.poll(), feed.poll(), feed.poll()) == (b"payload", b"x" * FEED_CHUNK, None)
+
+
 def test_an_incomplete_line_is_read_again_once_complete(tmp_path):
     path = tmp_path / "feed.ndjson"
     path.write_bytes(b"one\n\n  \ntw")
@@ -145,7 +155,7 @@ def commands_and_total(draw):
 
 
 @given(commands_and_total())
-@settings(max_examples=1000, deadline=None)
+@settings(max_examples=500, deadline=None)
 @example(([MotionCommand(True, 0, 5, 0.0, 1.0)], 1.0))
 @example(([MotionCommand(0, True, 5, 0.0, 1.0)], 1.0))
 @example(([MotionCommand(0, 0, False, 0.0, 1.0)], 1.0))
