@@ -96,6 +96,10 @@ MUTANTS = (
            "while n > 1 and due < clocks[n] - _EPS:",
            "while n > 1 and due < clocks[n - 1] - _EPS:",
            "tests/test_simulator_reference.py::test_dispatch_times_near_tick_boundaries[0.01-0.0]"),
+    Mutant("dispatch-keeps-a-leaf-at-its-step-moving", DEVICE,
+           "elif leaf in moving:", "elif False:",
+           "tests/test_simulator_reference.py::"
+           "test_a_leaf_sent_back_to_its_step_in_the_tick_it_set_off_is_not_moving[0.01]"),
     Mutant("end-scan-stops-a-tick-early", DEVICE,
            "while n > quiet and elapsed(clocks[n - 1]) >= duration:",
            "while n > quiet and elapsed(clocks[n - 2]) >= duration:",

@@ -453,29 +453,34 @@ def _advance(
         # budget (a negative carry), so completion stays within one tick of
         # the planned schedule.
         due_before = _due_before(clock + dt)
-        if dispatched < queued and pending[dispatched][0] < due_before:
-            while dispatched < queued and pending[dispatched][0] < due_before:
-                dispatch_time, command = pending[dispatched]
-                dispatched += 1
-                leaf = command.leaf
-                board_id, channel_id = divmod(leaf, 2)
-                steps = position_to_steps(command.target, full_range[leaf])
-                events.append((
-                    dispatch_time,
-                    board_id,
-                    "set_target",
-                    (
-                        ("leaf", leaf),
-                        ("channel", channel_id),
-                        ("from_step", current[leaf]),
-                        ("target_step", steps),
-                    ),
-                ))
-                withheld = max(0.0, dispatch_time - clock)
-                target[leaf] = steps
-                carry[leaf] = -withheld * step_rate
-                events.append((dispatch_time, board_id, "ack", (("leaf", leaf),)))
-            moving = [leaf for leaf in range(len(current)) if current[leaf] != target[leaf]]
+        while dispatched < queued and pending[dispatched][0] < due_before:
+            dispatch_time, command = pending[dispatched]
+            dispatched += 1
+            leaf = command.leaf
+            board_id, channel_id = divmod(leaf, 2)
+            steps = position_to_steps(command.target, full_range[leaf])
+            events.append((
+                dispatch_time,
+                board_id,
+                "set_target",
+                (
+                    ("leaf", leaf),
+                    ("channel", channel_id),
+                    ("from_step", current[leaf]),
+                    ("target_step", steps),
+                ),
+            ))
+            withheld = max(0.0, dispatch_time - clock)
+            target[leaf] = steps
+            carry[leaf] = -withheld * step_rate
+            events.append((dispatch_time, board_id, "ack", (("leaf", leaf),)))
+            # ``moving`` holds the leaves short of their targets, in any
+            # order: the marks of a window are sorted before they are logged.
+            if steps != current[leaf]:
+                if leaf not in moving:
+                    moving.append(leaf)
+            elif leaf in moving:
+                moving.remove(leaf)
 
         # The window's length is a guess at the ticks up to the next
         # dispatch, or up to the last arrival and ``duration``; a short

@@ -305,6 +305,20 @@ def test_a_leaf_retargeted_while_still_moving():
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.3])
+def test_a_leaf_sent_back_to_its_step_in_the_tick_it_set_off_is_not_moving(dt):
+    # Leaf 0 is sent to 10 and back to 0 in one tick: it never moves, so
+    # no stop sensor or arrival is logged for it.
+    plan = MotionPlan("plantform", (
+        MotionCommand(0, 0, 10, 0.0, 0.0),
+        MotionCommand(0, 10, 0, 0.0, 0.0),
+        MotionCommand(1, 0, 3, 0.0, 0.2),
+    ), 0.2)
+    ours = assert_plan_matches_reference(device.initial_state(PLANTFORM), plan, dt)
+    assert [e.kind for e in ours.event_log if dict(e.detail).get("leaf") == 0] == [
+        "set_target", "ack", "set_target", "ack"]
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.3])
 def test_a_last_command_to_the_current_step_gates_the_relay_in_its_dispatch_tick(dt):
     ctrl = device.initial_state(PLANTFORM, [0, 5, 0, 0, 0, 0, 0, 0, 0, 0])
     plan = MotionPlan("plantform", (
