@@ -16,6 +16,7 @@ _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
+
 def side_modules() -> dict:
     """The package's and the benchmark's modules now in ``sys.modules``."""
     return {name: module for name, module in sys.modules.items()
